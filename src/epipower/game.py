@@ -8,6 +8,7 @@ exhaustive deviation scan certifies the fixed point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -63,8 +64,19 @@ class PowerGrid:
     def __len__(self) -> int:
         return len(self.levels)
 
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.asarray(self.levels, dtype=np.float64)
+        arr.flags.writeable = False
+        return arr
+
+    def __getstate__(self) -> dict:
+        # the cached array stays out of pickles: pool tasks ship grids per chunk
+        return {"levels": self.levels}
+
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=np.float64)
+        """The levels as a read-only float64 array, built once per grid."""
+        return self._array
 
     def index_of(self, power: float) -> int:
         arr = self.as_array()

@@ -220,7 +220,8 @@ def _binomial_central(raw_with_unit: list) -> list:
     """Convert raw moments (index = order, entry 0 is 1) to central moments.
 
     central[n] = sum_{j=0..n} C(n, j) * raw[j] * (-mean)^(n-j), accumulated
-    in ascending j so scalar and array callers round identically.
+    in ascending j.  Only ``raw_to_central`` uses it; the Gamma kernel has
+    its own cancellation-free recurrence in ``gamma_central_moments``.
     """
     if len(raw_with_unit) == 1:
         return [raw_with_unit[0]]
@@ -253,15 +254,25 @@ def raw_to_central(moments) -> MomentVector:
 def gamma_central_moments(alpha, theta, n_max: int) -> list:
     """Central moments 0..n_max of Gamma(alpha, theta); array-friendly.
 
-    Raw moments come from the iterative product formula and are converted
-    with the binomial identity rather than closed forms, so every caller
-    (scalar API, vectorised batch path) shares one rounding behaviour.
+    Uses the Gamma central-moment recurrence
+
+        mu_0 = 1, mu_1 = 0, mu_{n+1} = n theta (mu_n + alpha theta mu_{n-1})
+
+    whose terms are all positive, so nothing cancels even at the large
+    alpha of populations of thousands, where a raw-to-central binomial
+    conversion loses every digit of mu_8.  Every caller (scalar API,
+    vectorised batch path) goes through this one function, so they share
+    one rounding behaviour.  ``_binomial_central`` serves only
+    ``raw_to_central``.
     """
     unit = alpha * 0.0 + 1.0  # promotes to the broadcast shape
-    raw = [unit]
-    for n in range(1, n_max + 1):
-        raw.append(raw[n - 1] * (theta * (alpha + (n - 1))))
-    return _binomial_central(raw)
+    if n_max == 0:
+        return [unit]
+    mean = alpha * theta
+    central = [unit, mean * 0.0]
+    for n in range(1, n_max):
+        central.append((n * theta) * (central[n] + mean * central[n - 1]))
+    return central
 
 
 @dataclass(frozen=True)

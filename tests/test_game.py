@@ -1,5 +1,6 @@
 """Power grid, SINR geometry, and the full-information equilibrium solver."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -62,6 +63,26 @@ class TestPowerGrid:
         assert grid.index_of(1.0) == 10
         with pytest.raises(ValueError, match="not a grid level"):
             grid.index_of(0.55)
+
+    def test_as_array_is_cached_and_read_only(self):
+        grid = PowerGrid.linear(11, 1.0)
+        arr = grid.as_array()
+        assert grid.as_array() is arr
+        assert arr.tolist() == list(grid.levels)
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+    def test_pickle_leaves_cached_array_behind(self):
+        grid = PowerGrid.linear(10001, 1.0)
+        grid.as_array()
+        assert "_array" in grid.__dict__
+        blob = pickle.dumps(grid)
+        back = pickle.loads(blob)
+        assert "_array" not in back.__dict__
+        assert back == grid
+        assert hash(back) == hash(grid)
+        # about 90 KB: the levels tuple, not a second copy as an array
+        assert len(blob) < len(pickle.dumps(grid.levels)) + 1024
 
     def test_ceil_to_grid(self):
         grid = PowerGrid(levels=(0.0, 0.3, 0.7, 1.0))

@@ -1,5 +1,6 @@
 """Gamma fit, moment conversions, and the shifted inverse-moment series."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,27 @@ class TestMomentVectors:
         assert central[2] == pytest.approx(var, rel=1e-12)
         if n_max >= 3:
             assert central[3] == pytest.approx(2.0 * alpha * theta**3, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [79.0, 999.0, 9999.0])
+    def test_central_moments_match_exact_rational_recurrence(self, alpha):
+        # the harness fits alpha up to thousands of interferers, where a
+        # raw-to-central conversion cancels away every digit of mu_8
+        theta = 0.37
+        got = gamma_central_moments(alpha, theta, 8)
+        a, t = Fraction(alpha), Fraction(theta)
+        exact = [Fraction(1), Fraction(0)]
+        for n in range(1, 8):
+            exact.append(n * t * (exact[n] + a * t * exact[n - 1]))
+        for n in range(2, 9):
+            assert abs(Fraction(got[n]) - exact[n]) <= Fraction(1, 10**14) * exact[n]
+
+    def test_central_moments_array_rows_match_scalar_calls(self):
+        alphas = np.array([0.7, 3.0, 79.0, 999.0, 9999.0])
+        thetas = np.array([2.5, 0.37, 1e-3, 4.0, 0.37])
+        rows = gamma_central_moments(alphas, thetas, 8)
+        for i in range(len(alphas)):
+            scalar = gamma_central_moments(float(alphas[i]), float(thetas[i]), 8)
+            assert [float(r[i]) for r in rows] == scalar
 
     def test_raw_to_central_agrees_with_gamma_closed_form(self):
         m = fit_gamma_mme((1.0, 3.0), lam=1.0)
