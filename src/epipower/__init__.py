@@ -9,11 +9,10 @@ A Monte Carlo harness scores both against equal-allocation and
 mean-interference baselines.
 """
 
-from .baselines import BaselineKind, SncpcResult, epa_profile, sncpc_solve
+from .baselines import SncpcResult, epa_profile, sncpc_solve
 from .batch import (
     BatchEpistemicResult,
     BatchIterativeResult,
-    epa_response,
     epistemic_response,
     select_lowest_feasible_batch,
     sncpc_response,
@@ -112,10 +111,8 @@ __all__ = [
     "BatchIterativeResult",
     "epistemic_response",
     "sncpc_response",
-    "epa_response",
     "select_lowest_feasible_batch",
     # baselines
-    "BaselineKind",
     "epa_profile",
     "sncpc_solve",
     "SncpcResult",

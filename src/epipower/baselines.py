@@ -1,7 +1,6 @@
 """Reference strategies the belief-driven scheme is judged against."""
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,12 +9,7 @@ from .batch import BatchIterativeResult, sncpc_response
 from .game import NetworkState, PowerGrid
 from .moments import RayleighPrior
 
-__all__ = ["BaselineKind", "epa_profile", "sncpc_solve", "SncpcResult"]
-
-
-class BaselineKind(enum.Enum):
-    EPA = "epa"
-    SNCPC = "sncpc"
+__all__ = ["epa_profile", "sncpc_solve", "SncpcResult"]
 
 
 def epa_profile(

@@ -33,7 +33,6 @@ __all__ = [
     "epistemic_response",
     "BatchIterativeResult",
     "sncpc_response",
-    "epa_response",
 ]
 
 
@@ -42,28 +41,40 @@ def select_lowest_feasible_batch(
 ) -> np.ndarray:
     """Per-row lowest grid index with slope*level >= threshold; -1 if none.
 
-    Bisection on required power plus a two-step guard evaluated with the
-    product form, so the accepted index satisfies the same predicate the
-    scalar selector uses.
+    ``levels`` is a nonnegative increasing grid (``PowerGrid.as_array()``).
+    Bisection on the required power ``threshold/slope`` gives a start;
+    the guard then steps each row down, then up, until the product-form
+    predicate (the one ``PowerGrid.select_lowest_feasible`` and the
+    exhaustive scan use) holds at the index and fails just below it, so
+    the index is exact however far rounding moved the start.  Slopes that
+    are not positive (zero, negative, NaN) give -1, a nonpositive
+    threshold gives 0 for every row, and ``slope`` is only read.
     """
-    n_levels = len(levels)
     slope = np.asarray(slope, dtype=np.float64)
-    pos = slope > 0.0
-    safe = np.where(pos, slope, 1.0)
-    req = np.where(pos, threshold / safe, np.inf)
-    idx = np.searchsorted(levels, req, side="left")
-    for _ in range(2):
-        probe = np.clip(idx - 1, 0, n_levels - 1)
-        down = pos & (idx > 0) & (safe * levels[probe] >= threshold)
-        idx = np.where(down, idx - 1, idx)
-    for _ in range(2):
-        probe = np.clip(idx, 0, n_levels - 1)
-        up = pos & (idx < n_levels) & (safe * levels[probe] < threshold)
-        idx = np.where(up, idx + 1, idx)
-    feasible = pos & (idx < n_levels)
     if threshold <= 0.0:
         return np.zeros(slope.shape, dtype=np.int64)
-    return np.where(feasible, np.minimum(idx, n_levels - 1), -1)
+    # the S-NCPC sweep calls this once per node at a few hundred rows, where
+    # numpy's Python-level wrappers (np.full, np.searchsorted, ndarray.any)
+    # are about a fifth of a call; hence the method calls and count_nonzero
+    n_levels = len(levels)
+    req = np.empty(slope.shape)
+    req.fill(np.inf)
+    np.divide(threshold, slope, out=req, where=slope > 0.0)
+    idx = np.asarray(levels.searchsorted(req, side="left"))
+    # the predicate is monotone in the level, so each loop stops at the
+    # boundary; both usually finish after one pass that moves no row
+    while True:
+        down = (idx > 0) & (slope * levels.take(idx - 1, mode="clip") >= threshold)
+        if not np.count_nonzero(down):
+            break
+        idx -= down
+    while True:
+        up = (idx < n_levels) & (slope * levels.take(idx, mode="clip") < threshold)
+        if not np.count_nonzero(up):
+            break
+        idx += up
+    idx[idx >= n_levels] = -1
+    return idx
 
 
 def _erlang_params(count: int, power: np.ndarray, lam: float):
@@ -164,7 +175,7 @@ def epistemic_response(
                 pos, (scale * np.where(pos, series_r, 1.0)) ** (1.0 / k), 0.0
             )
             idx_e = select_lowest_feasible_batch(levels, slope_r, sinr_threshold)
-            e_new = np.where(idx_e >= 0, levels[np.maximum(idx_e, 0)], grid.p_max)
+            e_new = levels[idx_e]  # index -1 (infeasible) is the last level, p_max
 
             # own pass against refreshed beliefs
             alpha, theta = _erlang_params(n_own_others, e_new, lam)
@@ -176,7 +187,7 @@ def epistemic_response(
             pos, g2r * np.where(pos, series_o, 1.0) ** (1.0 / k), 0.0
         )
         idx_p = select_lowest_feasible_batch(levels, slope_o, sinr_threshold)
-        p_new = np.where(idx_p >= 0, levels[np.maximum(idx_p, 0)], grid.p_max)
+        p_new = levels[idx_p]
 
         changed = (e_new != e) | (p_new != p)
         powers[rows] = p_new
@@ -228,7 +239,8 @@ def sncpc_response(
     the all-max start each update can only lower the interference others
     see, so powers descend monotonically onto a fixed point and the
     simultaneous-update two-cycles cannot occur.  Rows (trials) are
-    coupled only through their own columns.
+    coupled only through their own columns.  Each column update is one
+    ``select_lowest_feasible_batch`` call over the trials still moving.
     """
     gains = np.asarray(gains, dtype=np.float64)
     if gains.ndim != 2:
@@ -248,29 +260,24 @@ def sncpc_response(
         if rows.size == 0:
             break
         p = powers[rows]
-        entry = p.copy()
+        ok = np.empty(p.shape, dtype=bool)
+        changed = np.zeros(rows.size, dtype=bool)
         total = p.sum(axis=1)
         for i in range(n_nodes):
-            mean_inter = (total - p[:, i]) / lam
-            slope = g2[rows, i] / (mean_inter + noise_power)
+            old = p[:, i]
+            slope = g2[rows, i] / ((total - old) / lam + noise_power)
             idx = select_lowest_feasible_batch(levels, slope, sinr_threshold)
-            p_new = np.where(idx >= 0, levels[np.maximum(idx, 0)], grid.p_max)
-            total = total - p[:, i] + p_new
+            p_new = levels[idx]  # index -1 (infeasible) is p_max
+            total = total - old + p_new
+            changed |= p_new != old
             p[:, i] = p_new
-            feasible[rows, i] = idx >= 0
+            ok[:, i] = idx >= 0
         powers[rows] = p
+        feasible[rows] = ok
         iterations[rows] = it
-        done = np.all(p == entry, axis=1)
-        converged[rows] = done
-        rows = rows[~done]
+        converged[rows] = ~changed
+        rows = rows[changed]
 
     return BatchIterativeResult(
         powers=powers, feasible=feasible, converged=converged, iterations=iterations
     )
-
-
-def epa_response(n_trials: int, n_nodes: int, level: float) -> np.ndarray:
-    """Everyone transmits at one agreed level; no adaptation at all."""
-    if not level > 0.0:
-        raise ValueError("level must be positive")
-    return np.full((n_trials, n_nodes), float(level))

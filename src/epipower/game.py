@@ -102,7 +102,7 @@ class PowerGrid:
         """
         if threshold <= 0.0:
             return 0
-        if slope <= 0.0:
+        if not slope > 0.0:  # a NaN slope meets no target either
             return None
         arr = self.as_array()
         idx = int(np.searchsorted(slope * arr, threshold, side="left"))

@@ -1,7 +1,7 @@
 """Equal-allocation and shared-power iteration used as comparison points."""
 import pytest
 
-from epipower.baselines import BaselineKind, epa_profile, sncpc_solve
+from epipower.baselines import epa_profile, sncpc_solve
 from epipower.game import NetworkState, NodeConfig, PowerGrid
 from epipower.moments import RayleighPrior
 
@@ -29,10 +29,6 @@ class TestEqualAllocation:
         network = net((1.0, 0.3))
         with pytest.raises(ValueError, match="not a grid level"):
             epa_profile(network, GRID, 0.55)
-
-    def test_kind_labels(self):
-        assert BaselineKind.EPA.value == "epa"
-        assert BaselineKind.SNCPC.value == "sncpc"
 
 
 class TestSharedPowerIteration:

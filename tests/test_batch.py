@@ -5,7 +5,6 @@ import pytest
 from epipower.batch import (
     BatchEpistemicResult,
     BatchIterativeResult,
-    epa_response,
     epistemic_response,
     select_lowest_feasible_batch,
     sncpc_response,
@@ -35,6 +34,49 @@ class TestBatchSelector:
         levels = np.array([0.0, 0.5, 1.0])
         got = select_lowest_feasible_batch(levels, np.array([0.0, 2.0]), 0.0)
         assert got.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("scale_exp", range(-30, 31, 5))
+    def test_matches_scalar_selector_on_ulp_grids(self, scale_exp):
+        # consecutive floats around threshold/slope: several levels sit
+        # within rounding of the boundary, so bisection alone is not enough
+        rng = np.random.default_rng(1000 + scale_exp)
+        for _ in range(8):
+            slope = float(rng.uniform(0.5, 2.0)) * 2.0**scale_exp
+            threshold = float(rng.uniform(0.01, 4.0))
+            centre = threshold / slope
+            levels = [centre]
+            for _ in range(12):
+                levels.insert(0, float(np.nextafter(levels[0], 0.0)))
+                levels.append(float(np.nextafter(levels[-1], np.inf)))
+            grid = PowerGrid(levels=tuple(levels))
+            slopes = slope * np.array(
+                [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+            )
+            got = select_lowest_feasible_batch(grid.as_array(), slopes, threshold)
+            for s, g in zip(slopes, got):
+                want = grid.select_lowest_feasible(float(s), threshold)
+                assert (want if want is not None else -1) == int(g)
+
+    def test_edge_slopes_match_scalar_selector(self):
+        grid = PowerGrid.linear(11, 1.0)
+        slopes = np.array([0.0, -1.0, -np.inf, np.nan, 1e-300, 1e300, 0.6])
+        for threshold in (0.5, 1.0):  # at 1.0, slope 0.6 is infeasible at p_max
+            with np.errstate(invalid="ignore"):
+                got = select_lowest_feasible_batch(grid.as_array(), slopes, threshold)
+                want = [grid.select_lowest_feasible(float(s), threshold) for s in slopes]
+            assert got.tolist() == [-1 if w is None else w for w in want]
+        assert got.tolist() == [-1, -1, -1, -1, -1, 1, -1]
+        # a 0-d slope gives a 0-d index, as the scalar selector would
+        for s, want in ((0.6, 9), (0.0, -1)):
+            got = select_lowest_feasible_batch(grid.as_array(), np.float64(s), 0.5)
+            assert got.shape == () and int(got) == want
+
+    def test_slope_argument_is_not_written(self):
+        levels = PowerGrid.linear(11, 1.0).as_array()
+        slopes = np.array([0.0, 0.3, 2.0, 50.0])
+        before = slopes.copy()
+        select_lowest_feasible_batch(levels, slopes, 0.5)
+        assert slopes.tolist() == before.tolist()
 
 
 def run_object_engines(gains, n_active, threshold, noise, grid, policy, prior, stages):
@@ -134,16 +176,20 @@ class TestSharedPowerBatch:
         res = sncpc_response(gains, threshold, noise, grid, prior, max_iter=100)
         for row in range(gains.shape[0]):
             p = [grid.p_max] * 3
-            for _ in range(100):
+            feasible = [True] * 3
+            for it in range(1, 101):
                 entry = list(p)
                 for i in range(3):
                     mean_inter = (sum(p) - p[i]) / prior.lam
                     slope = float(gains[row, i] ** 2) / (mean_inter + noise)
                     idx = grid.select_lowest_feasible(slope, threshold)
                     p[i] = grid.p_max if idx is None else grid.levels[idx]
+                    feasible[i] = idx is not None
                 if p == entry:
                     break
             assert res.powers[row].tolist() == p
+            assert res.feasible[row].tolist() == feasible
+            assert res.iterations[row] == it
 
     def test_monotone_descent_terminates(self):
         rng = np.random.default_rng(5)
@@ -167,14 +213,3 @@ class TestSharedPowerBatch:
             iterations=np.ones(4, dtype=np.int64),
         )
         assert res.failure_fraction == 0.25
-
-
-class TestEqualAllocationBatch:
-    def test_constant_matrix(self):
-        out = epa_response(5, 3, 0.7)
-        assert out.shape == (5, 3)
-        assert (out == 0.7).all()
-
-    def test_rejects_nonpositive_level(self):
-        with pytest.raises(ValueError):
-            epa_response(5, 3, 0.0)
