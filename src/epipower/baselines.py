@@ -76,7 +76,7 @@ def sncpc_solve(
             idx = int(np.searchsorted(slope * levels, thr[i], side="left"))
             while idx > 0 and slope * levels[idx - 1] >= thr[i]:
                 idx -= 1
-            while idx < len(levels) and slope * levels[idx] < thr[i]:
+            while idx < len(levels) and not slope * levels[idx] >= thr[i]:
                 idx += 1
             if idx >= len(levels):
                 powers[i] = grid.p_max

@@ -24,57 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EpistemicPolicy
-from .game import PowerGrid
-from .moments import RayleighPrior, inverse_moment_value
+from .game import PowerGrid, select_lowest_feasible_batch
+from .moments import RayleighPrior, int_power, inverse_moment_value, kth_root
 
 __all__ = [
-    "select_lowest_feasible_batch",
     "BatchEpistemicResult",
     "epistemic_response",
     "BatchIterativeResult",
     "sncpc_response",
 ]
-
-
-def select_lowest_feasible_batch(
-    levels: np.ndarray, slope: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Per-row lowest grid index with slope*level >= threshold; -1 if none.
-
-    ``levels`` is a nonnegative increasing grid (``PowerGrid.as_array()``).
-    Bisection on the required power ``threshold/slope`` gives a start;
-    the guard then steps each row down, then up, until the product-form
-    predicate (the one ``PowerGrid.select_lowest_feasible`` and the
-    exhaustive scan use) holds at the index and fails just below it, so
-    the index is exact however far rounding moved the start.  Slopes that
-    are not positive (zero, negative, NaN) give -1, a nonpositive
-    threshold gives 0 for every row, and ``slope`` is only read.
-    """
-    slope = np.asarray(slope, dtype=np.float64)
-    if threshold <= 0.0:
-        return np.zeros(slope.shape, dtype=np.int64)
-    # the S-NCPC sweep calls this once per node at a few hundred rows, where
-    # numpy's Python-level wrappers (np.full, np.searchsorted, ndarray.any)
-    # are about a fifth of a call; hence the method calls and count_nonzero
-    n_levels = len(levels)
-    req = np.empty(slope.shape)
-    req.fill(np.inf)
-    np.divide(threshold, slope, out=req, where=slope > 0.0)
-    idx = np.asarray(levels.searchsorted(req, side="left"))
-    # the predicate is monotone in the level, so each loop stops at the
-    # boundary; both usually finish after one pass that moves no row
-    while True:
-        down = (idx > 0) & (slope * levels.take(idx - 1, mode="clip") >= threshold)
-        if not np.count_nonzero(down):
-            break
-        idx -= down
-    while True:
-        up = (idx < n_levels) & (slope * levels.take(idx, mode="clip") < threshold)
-        if not np.count_nonzero(up):
-            break
-        idx += up
-    idx[idx >= n_levels] = -1
-    return idx
 
 
 def _erlang_params(count: int, power: np.ndarray, lam: float):
@@ -99,12 +57,6 @@ class BatchEpistemicResult:
     feasible: np.ndarray
     converged: np.ndarray
     stages_run: np.ndarray
-
-    @property
-    def stage_cap_fraction(self) -> float:
-        if self.converged.size == 0:
-            return 0.0
-        return float(1.0 - self.converged.mean())
 
 
 def epistemic_response(
@@ -159,12 +111,12 @@ def epistemic_response(
             # no rivals at all: beliefs are vacuous, the self test is
             # the same zero-interference bypass the object path uses
             e_new = e
-            series_o = np.full(p.shape, 1.0 / noise_power**k)
+            series_o = np.full(p.shape, 1.0 / int_power(noise_power, k))
         else:
             # rival pass (one shared belief update stands in for every rival)
             eta_rival = g2r * p + noise_power
             if n_rival_others == 0:
-                series_r = 1.0 / eta_rival**k
+                series_r = 1.0 / int_power(eta_rival, k)
             else:
                 alpha, theta = _erlang_params(n_rival_others, e, lam)
                 series_r, _, _ = inverse_moment_value(
@@ -172,7 +124,7 @@ def epistemic_response(
                 )
             pos = series_r > 0.0
             slope_r = np.where(
-                pos, (scale * np.where(pos, series_r, 1.0)) ** (1.0 / k), 0.0
+                pos, kth_root(scale * np.where(pos, series_r, 1.0), k), 0.0
             )
             idx_e = select_lowest_feasible_batch(levels, slope_r, sinr_threshold)
             e_new = levels[idx_e]  # index -1 (infeasible) is the last level, p_max
@@ -183,9 +135,7 @@ def epistemic_response(
                 alpha, theta, noise_power, k, trunc
             )
         pos = series_o > 0.0
-        slope_o = np.where(
-            pos, g2r * np.where(pos, series_o, 1.0) ** (1.0 / k), 0.0
-        )
+        slope_o = np.where(pos, g2r * kth_root(np.where(pos, series_o, 1.0), k), 0.0)
         idx_p = select_lowest_feasible_batch(levels, slope_o, sinr_threshold)
         p_new = levels[idx_p]
 
@@ -214,12 +164,6 @@ class BatchIterativeResult:
     feasible: np.ndarray
     converged: np.ndarray  # (trials,)
     iterations: np.ndarray
-
-    @property
-    def failure_fraction(self) -> float:
-        if self.converged.size == 0:
-            return 0.0
-        return float(1.0 - self.converged.mean())
 
 
 def sncpc_response(

@@ -28,7 +28,6 @@ from .game import (
 from .harness import run_scenario, sweep_conditioned, sweep_population
 from .moments import (
     RayleighPrior,
-    expected_inverse_shifted,
     fit_gamma_mme,
     inverse_shifted_moment,
 )
@@ -338,7 +337,7 @@ def _cmd_selftest(_args) -> int:
     checks.append(("erlang fit theta", model.theta_hat == 2.0))
 
     shifted = model.with_eta(100.0)
-    series = expected_inverse_shifted(shifted, truncation=4)
+    series = inverse_shifted_moment(shifted, 1, truncation=4)
     quad = quadrature_inverse_moment(shifted, k=1)
     rel = abs(series.value - quad) / quad
     checks.append(("series vs quadrature", rel < 1e-6))

@@ -25,7 +25,9 @@ from .moments import (
     RayleighPrior,
     SeriesValue,
     fit_interference,
+    int_power,
     inverse_shifted_moment,
+    kth_root,
 )
 
 __all__ = [
@@ -57,15 +59,12 @@ class EpistemicPolicy:
 
     moment_order: int = 1
     truncation: int = 4
-    tie_break: str = "lowest-power"
 
     def __post_init__(self) -> None:
         if self.moment_order < 1:
             raise ValueError(f"moment_order must be >= 1, got {self.moment_order}")
         if self.truncation < 0:
             raise ValueError(f"truncation must be >= 0, got {self.truncation}")
-        if self.tie_break != "lowest-power":
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
 
 
 def inter_slope(k: int, lam: float, series_value: float) -> float:
@@ -75,12 +74,12 @@ def inter_slope(k: int, lam: float, series_value: float) -> float:
     is linear in p with this slope.
     """
     scale = math.factorial(k) / lam**k
-    return (scale * series_value) ** (1.0 / k)
+    return kth_root(scale * series_value, k)
 
 
 def intra_slope(k: int, gain_sq: float, series_value: float) -> float:
     """Per-unit-power statistic when the transmitter knows its own gain."""
-    return gain_sq * series_value ** (1.0 / k)
+    return gain_sq * kth_root(series_value, k)
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ class NodeEngine:
         k = self.policy.moment_order
         model = fit_interference(powers, self.prior.lam, eta)
         if model is None:
-            return SeriesValue(value=1.0 / eta**k, terms_used=0, status="ok")
+            return SeriesValue(value=1.0 / int_power(eta, k), terms_used=0, status="ok")
         return inverse_shifted_moment(model, k, self.policy.truncation)
 
     def _select(self, slope: float, threshold: float) -> tuple[int | None, int]:

@@ -9,8 +9,7 @@ exhaustive deviation scan certifies the fixed point.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,8 +18,8 @@ __all__ = [
     "PowerGrid",
     "NodeConfig",
     "NetworkState",
+    "select_lowest_feasible_batch",
     "sinr",
-    "throughput",
     "BestResponse",
     "best_response_full_csi",
     "solve_nash_full_csi",
@@ -94,28 +93,56 @@ class PowerGrid:
         return self.levels[idx]
 
     def select_lowest_feasible(self, slope: float, threshold: float) -> int | None:
-        """Index of the lowest level p with slope*p >= threshold, else None.
+        """Index of the lowest level p with slope*p >= threshold, else None."""
+        # threshold/slope overflows for a tiny slope; the index is still exact
+        with np.errstate(over="ignore"):
+            idx = int(select_lowest_feasible_batch(self._array, slope, threshold))
+        return None if idx < 0 else idx
 
-        The target statistic is linear and increasing in p for positive
-        slope, so the cheapest feasible level is found by bisection and
-        agrees with an exhaustive left-to-right scan.
-        """
-        if threshold <= 0.0:
-            return 0
-        if not slope > 0.0:  # a NaN slope meets no target either
-            return None
-        arr = self.as_array()
-        idx = int(np.searchsorted(slope * arr, threshold, side="left"))
-        if idx >= len(arr):
-            return None
-        # guard one step either way against rounding at the boundary
-        while idx > 0 and slope * arr[idx - 1] >= threshold:
-            idx -= 1
-        while idx < len(arr) and slope * arr[idx] < threshold:
-            idx += 1
-        if idx >= len(arr):
-            return None
-        return idx
+
+def select_lowest_feasible_batch(
+    levels: np.ndarray, slope: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Per-row lowest grid index with slope*level >= threshold; -1 if none.
+
+    The one grid selector: ``PowerGrid.select_lowest_feasible`` is its
+    scalar form.  ``levels`` is a nonnegative increasing grid
+    (``PowerGrid.as_array()``).  Bisection on the required power
+    ``threshold/slope`` gives a start; the guard then steps each row down,
+    then up, until the predicate slope*level >= threshold (the one the
+    exhaustive scan in ``engine.NodeEngine`` uses) holds at the index and
+    fails just below it, so the index is exact however far rounding moved
+    the start.  The up-guard negates the predicate rather than testing
+    ``<``, so a NaN product (slope +inf at level 0) counts as infeasible.
+    Slopes that are not positive (zero, negative, NaN) give -1, a
+    nonpositive threshold gives 0 for every row, and ``slope`` is only
+    read.  A 0-d slope gives a 0-d index.
+    """
+    slope = np.asarray(slope, dtype=np.float64)
+    if threshold <= 0.0:
+        return np.zeros(slope.shape, dtype=np.int64)
+    # the S-NCPC sweep calls this once per node at a few hundred rows, where
+    # numpy's Python-level wrappers (np.full, np.searchsorted, ndarray.any)
+    # are about a fifth of a call; hence the method calls and count_nonzero
+    n_levels = len(levels)
+    req = np.empty(slope.shape)
+    req.fill(np.inf)
+    np.divide(threshold, slope, out=req, where=slope > 0.0)
+    idx = np.asarray(levels.searchsorted(req, side="left"))
+    # the predicate is monotone in the level, so each loop stops at the
+    # boundary; both usually finish after one pass that moves no row
+    while True:
+        down = (idx > 0) & (slope * levels.take(idx - 1, mode="clip") >= threshold)
+        if not np.count_nonzero(down):
+            break
+        idx -= down
+    while True:
+        up = (idx < n_levels) & ~(slope * levels.take(idx, mode="clip") >= threshold)
+        if not np.count_nonzero(up):
+            break
+        idx += up
+    idx[idx >= n_levels] = -1
+    return idx
 
 
 @dataclass(frozen=True)
@@ -140,11 +167,6 @@ class NodeConfig:
     def gain_sq(self) -> float:
         return self.gain * self.gain
 
-    @property
-    def throughput_threshold(self) -> float:
-        """Rate target implied by the SINR target at unit bandwidth."""
-        return math.log2(1.0 + self.sinr_threshold)
-
 
 @dataclass(frozen=True)
 class NetworkState:
@@ -152,15 +174,12 @@ class NetworkState:
 
     nodes: tuple[NodeConfig, ...]
     noise_power: float
-    bandwidth: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.nodes) < 1:
             raise ValueError("network needs at least one node")
         if not self.noise_power > 0.0:
             raise ValueError("noise_power must be positive")
-        if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
         ids = [n.node_id for n in self.nodes]
         if ids != sorted(set(ids)):
             raise ValueError("node ids must be unique and ascending")
@@ -170,9 +189,6 @@ class NetworkState:
 
     def gains_sq(self) -> np.ndarray:
         return np.asarray([n.gain_sq for n in self.nodes], dtype=np.float64)
-
-    def thresholds(self) -> np.ndarray:
-        return np.asarray([n.sinr_threshold for n in self.nodes], dtype=np.float64)
 
 
 def sinr(network: NetworkState, powers: Sequence[float], node_index: int) -> float:
@@ -184,11 +200,6 @@ def sinr(network: NetworkState, powers: Sequence[float], node_index: int) -> flo
     received = g2 * p
     interference = float(received.sum() - received[node_index])
     return float(received[node_index] / (interference + network.noise_power))
-
-
-def throughput(network: NetworkState, powers: Sequence[float], node_index: int) -> float:
-    """Shannon rate B * log2(1 + SINR) of one link under a power profile."""
-    return network.bandwidth * math.log2(1.0 + sinr(network, powers, node_index))
 
 
 class BestResponse(NamedTuple):

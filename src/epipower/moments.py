@@ -23,17 +23,13 @@ import numpy as np
 __all__ = [
     "RayleighPrior",
     "GammaInterferenceModel",
-    "MomentVector",
     "SeriesValue",
     "fit_gamma_mme",
     "fit_interference",
-    "gamma_raw_moment",
-    "raw_to_central",
+    "int_power",
+    "kth_root",
     "inverse_shifted_moment",
-    "expected_inverse_shifted",
-    "sinr_raw_moment",
     "gamma_central_moments",
-    "inverse_moment_bracket",
     "inverse_moment_value",
 ]
 
@@ -104,10 +100,6 @@ class GammaInterferenceModel:
     def variance(self) -> float:
         return self.alpha_hat * self.theta_hat * self.theta_hat
 
-    @property
-    def mean_plus_eta(self) -> float:
-        return self.alpha_hat * self.theta_hat + self.eta
-
     def with_eta(self, eta: float) -> "GammaInterferenceModel":
         return GammaInterferenceModel(
             alpha_hat=self.alpha_hat,
@@ -167,90 +159,6 @@ def fit_interference(
     return fit_gamma_mme(active, lam, eta=eta)
 
 
-def gamma_raw_moment(model: GammaInterferenceModel, n: int):
-    """n-th raw moment of Gamma(alpha_hat, theta_hat): theta^n * prod_{kap=1..n}(alpha+kap-1)."""
-    if n < 0:
-        raise ValueError(f"moment order must be nonnegative, got {n}")
-    value = 1.0
-    for kap in range(1, n + 1):
-        value = value * (model.theta_hat * (model.alpha_hat + (kap - 1)))
-    return value
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Raw moments 1..k_max and central moments 2..k_max of one distribution."""
-
-    raw: tuple[float, ...]
-    central: tuple[float, ...]
-    k_max: int
-
-    def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
-        if len(self.raw) != self.k_max:
-            raise ValueError("raw must hold moments 1..k_max")
-        if len(self.central) != max(self.k_max - 1, 0):
-            raise ValueError("central must hold moments 2..k_max")
-
-    def _check_order(self, k: int) -> None:
-        if not 0 <= k <= self.k_max:
-            raise ValueError(f"moment order {k} outside 0..{self.k_max}")
-
-    def raw_moment(self, k: int) -> float:
-        self._check_order(k)
-        if k == 0:
-            return 1.0
-        return self.raw[k - 1]
-
-    def central_moment(self, k: int) -> float:
-        self._check_order(k)
-        if k == 0:
-            return 1.0
-        if k == 1:
-            return 0.0
-        return self.central[k - 2]
-
-    @classmethod
-    def from_raw(cls, raw: Sequence[float]) -> "MomentVector":
-        return raw_to_central(raw)
-
-
-def _binomial_central(raw_with_unit: list) -> list:
-    """Convert raw moments (index = order, entry 0 is 1) to central moments.
-
-    central[n] = sum_{j=0..n} C(n, j) * raw[j] * (-mean)^(n-j), accumulated
-    in ascending j.  Only ``raw_to_central`` uses it; the Gamma kernel has
-    its own cancellation-free recurrence in ``gamma_central_moments``.
-    """
-    if len(raw_with_unit) == 1:
-        return [raw_with_unit[0]]
-    mean = raw_with_unit[1]
-    neg_mean = -mean
-    central = [raw_with_unit[0], raw_with_unit[1] + neg_mean]
-    for n in range(2, len(raw_with_unit)):
-        acc = raw_with_unit[0] * neg_mean**n
-        for j in range(1, n + 1):
-            acc = acc + math.comb(n, j) * raw_with_unit[j] * neg_mean ** (n - j)
-        central.append(acc)
-    return central
-
-
-def raw_to_central(moments) -> MomentVector:
-    """Build a MomentVector from raw moments 1..k_max (binomial conversion)."""
-    if isinstance(moments, MomentVector):
-        raw_seq = moments.raw
-    else:
-        raw_seq = tuple(float(m) for m in moments)
-    if len(raw_seq) < 1:
-        raise ValueError("need at least the first raw moment")
-    raw_with_unit = [1.0, *raw_seq]
-    central = _binomial_central(raw_with_unit)
-    return MomentVector(
-        raw=raw_seq, central=tuple(central[2:]), k_max=len(raw_seq)
-    )
-
-
 def gamma_central_moments(alpha, theta, n_max: int) -> list:
     """Central moments 0..n_max of Gamma(alpha, theta); array-friendly.
 
@@ -262,8 +170,7 @@ def gamma_central_moments(alpha, theta, n_max: int) -> list:
     alpha of populations of thousands, where a raw-to-central binomial
     conversion loses every digit of mu_8.  Every caller (scalar API,
     vectorised batch path) goes through this one function, so they share
-    one rounding behaviour.  ``_binomial_central`` serves only
-    ``raw_to_central``.
+    one rounding behaviour.
     """
     unit = alpha * 0.0 + 1.0  # promotes to the broadcast shape
     if n_max == 0:
@@ -291,18 +198,52 @@ class SeriesValue:
         return self.value
 
 
-def inverse_moment_bracket(alpha, theta, eta, k: int, truncation: int):
-    """Bracketed sum of the expansion of E[1/(Y+eta)^k] around E[Y]+eta.
+def int_power(x, k: int):
+    """x**k for k >= 1 by repeated multiplication; each step rounds correctly.
 
-    Returns ``(bracket, terms_used, flagged)`` where
+    ``pow`` is not required to round correctly, and numpy sends 0-d and
+    n-d operands to different ``pow`` implementations; a product rounds
+    the same everywhere.
+    """
+    result = x
+    for _ in range(k - 1):
+        result = result * x
+    return result
 
-        E[1/(Y+eta)^k] ~= bracket / (E[Y]+eta)^k
+
+def kth_root(x, k: int):
+    """x**(1/k), from square and cube roots for k up to 4.
+
+    ``sqrt`` is correctly rounded by IEEE 754, so orders 1, 2 and 4 give
+    the same bits on every platform; ``cbrt`` and the ``pow`` fallback
+    for k > 4 are libm's.
+    """
+    if k == 1:
+        return x
+    if k == 2:
+        return np.sqrt(x)
+    if k == 3:
+        return np.cbrt(x)
+    if k == 4:
+        return np.sqrt(np.sqrt(x))
+    return x ** (1.0 / k)
+
+
+def inverse_moment_value(alpha, theta, eta, k: int, truncation: int):
+    """E[1/(Y+eta)^k] under Gamma(alpha, theta); elementwise on arrays.
+
+    Returns ``(value, terms_used, flagged)`` where
+
+        value = bracket / (E[Y]+eta)^k
         bracket = sum_{n=0..T} (-1)^n C(k+n-1, n) central_n / (E[Y]+eta)^n
 
-    The series is asymptotic, not convergent: once a term's magnitude
-    stops decreasing the sum is cut at the smallest-magnitude term and
-    ``flagged`` is set.  The n=1 term vanishes exactly (central moment 0)
-    and is ignored by the onset detector.  Works elementwise on arrays.
+    is the expansion around E[Y]+eta.  The series is asymptotic, not
+    convergent: once a term's magnitude stops decreasing the sum is cut
+    at the smallest-magnitude term and ``flagged`` is set.  The n=1 term
+    vanishes exactly (central moment 0) and is ignored by the onset
+    detector.  The scalar API and the vectorised simulation path both
+    funnel through this function, and it uses no ``pow``, so a scalar
+    call and the matching array row round identically.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -330,23 +271,7 @@ def inverse_moment_bracket(alpha, theta, eta, k: int, truncation: int):
         stopped = stopped | onset
         total = total + np.where(stopped, 0.0, term)
         prev_mag = np.where(pos & ~stopped, mag, prev_mag)
-    return total, used, stopped
-
-
-def inverse_moment_value(alpha, theta, eta, k: int, truncation: int):
-    """E[1/(Y+eta)^k] under Gamma(alpha, theta); elementwise on arrays.
-
-    Same return convention as ``inverse_moment_bracket`` but with the
-    (E[Y]+eta)^-k factor applied.  The scalar API and the vectorised
-    simulation path both funnel through this function so a scalar call
-    and the matching array row round identically.
-    """
-    bracket, used, flagged = inverse_moment_bracket(alpha, theta, eta, k, truncation)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    me = alpha * theta + eta
-    return bracket / me**k, used, flagged
+    return total / int_power(me, k), used, stopped
 
 
 def inverse_shifted_moment(
@@ -361,34 +286,3 @@ def inverse_shifted_moment(
         terms_used=int(used),
         status=STATUS_TRUNCATED if bool(flagged) else STATUS_OK,
     )
-
-
-def expected_inverse_shifted(
-    model: GammaInterferenceModel, truncation: int = DEFAULT_TRUNCATION
-) -> SeriesValue:
-    """E[1/(Y+eta)] via the central-moment expansion (k=1 case)."""
-    return inverse_shifted_moment(model, 1, truncation)
-
-
-def sinr_raw_moment(
-    k: int,
-    prior: RayleighPrior,
-    p_i: float,
-    model: GammaInterferenceModel,
-    truncation: int = DEFAULT_TRUNCATION,
-) -> SeriesValue:
-    """k-th raw moment of gamma_i = p_i X / (Y + eta) with X ~ Exp(lam) unknown.
-
-    The desired gain is integrated against its prior, giving
-
-        m_k = p_i^k * (k! / lam^k) * E[1/(Y+eta)^k]
-
-    with the expectation evaluated by ``inverse_shifted_moment`` (same
-    truncation handling, status propagated).
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    series = inverse_shifted_moment(model, k, truncation)
-    scale = math.factorial(k) / prior.lam**k
-    value = (scale * series.value) * p_i**k
-    return SeriesValue(value=value, terms_used=series.terms_used, status=series.status)

@@ -1,4 +1,5 @@
 """Equal-allocation and shared-power iteration used as comparison points."""
+import numpy as np
 import pytest
 
 from epipower.baselines import epa_profile, sncpc_solve
@@ -70,6 +71,15 @@ class TestSharedPowerIteration:
         # node 1 would need 0.5 * (1.5/0.5 + 1) / 0.64 = 3.125 > p_max
         required = 0.5 * (res.powers[0] / PRIOR.lam + 1.0) / 0.64
         assert required > GRID.p_max
+
+    def test_heterogeneous_targets_infinite_slope(self):
+        # a squared gain that overflows gives slope +inf; inf * 0.0 at the
+        # zero level is NaN, so the selector's predicate skips it
+        network = net((1e200, 0.3), (1.0, 0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = sncpc_solve(network, GRID, PRIOR)
+        assert res.powers[0] == GRID.levels[1]
+        assert res.feasible[0]
 
     def test_fixed_point_property_heterogeneous(self):
         network = net((1.1, 0.25), (0.9, 0.4), (1.3, 0.1))

@@ -3,8 +3,6 @@ import numpy as np
 import pytest
 
 from epipower.batch import (
-    BatchEpistemicResult,
-    BatchIterativeResult,
     epistemic_response,
     select_lowest_feasible_batch,
     sncpc_response,
@@ -12,6 +10,16 @@ from epipower.batch import (
 from epipower.engine import EpistemicPolicy, NodeEngine
 from epipower.game import PowerGrid
 from epipower.moments import RayleighPrior
+
+
+def plain_scan(levels, slope, threshold):
+    """Independent reference: the first level meeting the target, else -1."""
+    return next((i for i, l in enumerate(levels) if slope * l >= threshold), -1)
+
+
+def scalar_index(grid, slope, threshold):
+    idx = grid.select_lowest_feasible(slope, threshold)
+    return -1 if idx is None else idx
 
 
 class TestBatchSelector:
@@ -27,8 +35,9 @@ class TestBatchSelector:
             threshold = float(rng.uniform(0.01, 4.0))
             got = select_lowest_feasible_batch(grid.as_array(), slopes, threshold)
             for s, g in zip(slopes, got):
-                want = grid.select_lowest_feasible(float(s), threshold)
-                assert (want if want is not None else -1) == int(g)
+                want = plain_scan(grid.levels, float(s), threshold)
+                assert int(g) == want
+                assert scalar_index(grid, float(s), threshold) == want
 
     def test_nonpositive_threshold_selects_floor(self):
         levels = np.array([0.0, 0.5, 1.0])
@@ -54,18 +63,28 @@ class TestBatchSelector:
             )
             got = select_lowest_feasible_batch(grid.as_array(), slopes, threshold)
             for s, g in zip(slopes, got):
-                want = grid.select_lowest_feasible(float(s), threshold)
-                assert (want if want is not None else -1) == int(g)
+                want = plain_scan(grid.levels, float(s), threshold)
+                assert int(g) == want
+                assert scalar_index(grid, float(s), threshold) == want
 
     def test_edge_slopes_match_scalar_selector(self):
         grid = PowerGrid.linear(11, 1.0)
-        slopes = np.array([0.0, -1.0, -np.inf, np.nan, 1e-300, 1e300, 0.6])
+        slopes = np.array([0.0, -1.0, -np.inf, np.nan, 1e-300, 1e300, np.inf, 0.6])
+        node = NodeEngine(
+            0, 1.0, 0.5, (), RayleighPrior(sigma=1.0), 1.0, grid,
+            EpistemicPolicy(), exhaustive=True,
+        )
         for threshold in (0.5, 1.0):  # at 1.0, slope 0.6 is infeasible at p_max
+            want = [plain_scan(grid.levels, float(s), threshold) for s in slopes]
             with np.errstate(invalid="ignore"):
                 got = select_lowest_feasible_batch(grid.as_array(), slopes, threshold)
-                want = [grid.select_lowest_feasible(float(s), threshold) for s in slopes]
-            assert got.tolist() == [-1 if w is None else w for w in want]
-        assert got.tolist() == [-1, -1, -1, -1, -1, 1, -1]
+                scalar = [scalar_index(grid, float(s), threshold) for s in slopes]
+            scan = [node._select(float(s), threshold)[0] for s in slopes]
+            assert got.tolist() == want
+            assert scalar == want
+            assert [-1 if i is None else i for i in scan] == want
+        # slope +inf meets the target at level 1: inf * 0.0 at level 0 is NaN
+        assert got.tolist() == [-1, -1, -1, -1, -1, 1, 1, -1]
         # a 0-d slope gives a 0-d index, as the scalar selector would
         for s, want in ((0.6, 9), (0.0, -1)):
             got = select_lowest_feasible_batch(grid.as_array(), np.float64(s), 0.5)
@@ -155,16 +174,6 @@ class TestEpistemicParity:
                 np.ones(3), 2, 0.0, 0.1, grid, EpistemicPolicy(), prior, 1
             )
 
-    def test_stage_cap_fraction(self):
-        res = BatchEpistemicResult(
-            powers=np.ones(4),
-            believed=np.ones(4),
-            feasible=np.ones(4, dtype=bool),
-            converged=np.array([True, False, True, False]),
-            stages_run=np.ones(4, dtype=np.int64),
-        )
-        assert res.stage_cap_fraction == 0.5
-
 
 class TestSharedPowerBatch:
     def test_matches_plain_python_loop(self):
@@ -197,19 +206,9 @@ class TestSharedPowerBatch:
         grid = PowerGrid.linear(201, 2.0)
         res = sncpc_response(gains, 0.05, 0.01, grid, RayleighPrior(sigma=1.0))
         assert res.converged.all()
-        assert res.failure_fraction == 0.0
         assert (res.powers <= grid.p_max).all()
 
     def test_shape_validation(self):
         grid = PowerGrid.linear(11, 1.0)
         with pytest.raises(ValueError):
             sncpc_response(np.ones(3), 0.1, 0.1, grid, RayleighPrior(sigma=1.0))
-
-    def test_failure_fraction(self):
-        res = BatchIterativeResult(
-            powers=np.ones((4, 1)),
-            feasible=np.ones((4, 1), dtype=bool),
-            converged=np.array([True, True, True, False]),
-            iterations=np.ones(4, dtype=np.int64),
-        )
-        assert res.failure_fraction == 0.25

@@ -65,15 +65,12 @@ class TestPolicy:
         p = EpistemicPolicy()
         assert p.moment_order == 1
         assert p.truncation == 4
-        assert p.tie_break == "lowest-power"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EpistemicPolicy(moment_order=0)
         with pytest.raises(ValueError):
             EpistemicPolicy(truncation=-1)
-        with pytest.raises(ValueError):
-            EpistemicPolicy(tie_break="highest-power")
 
 
 class TestSingleSweep:

@@ -1,6 +1,6 @@
 """Power grid, SINR geometry, and the full-information equilibrium solver."""
-import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from epipower.game import (
     nash_deviation_scan,
     sinr,
     solve_nash_full_csi,
-    throughput,
 )
 
 
@@ -31,7 +30,7 @@ def closed_form_pair(network):
     """Continuous equilibrium of the linear threshold system g_i^2 p_i =
     gamma_i (g_j^2 p_j + noise), solved exactly."""
     g2 = network.gains_sq()
-    gam = network.thresholds()
+    gam = np.array([n.sinr_threshold for n in network.nodes])
     a = np.array([[g2[0], -gam[0] * g2[1]], [-gam[1] * g2[0], g2[1]]])
     b = gam * network.noise_power
     return np.linalg.solve(a, b)
@@ -103,6 +102,15 @@ class TestPowerGrid:
         # dead channel can never meet a positive target
         assert grid.select_lowest_feasible(0.0, 1.0) is None
 
+    def test_tiny_slope_raises_no_warning(self):
+        # threshold/slope overflows to inf here; the index must still be exact
+        grid = PowerGrid.linear(11, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grid.select_lowest_feasible(1e-300, 0.5) is None
+            assert grid.select_lowest_feasible(5e-324, 0.5) is None
+            assert grid.select_lowest_feasible(1e-300, 1e10) is None
+
     @given(
         n=st.integers(min_value=1, max_value=40),
         seed=st.integers(min_value=0, max_value=2**31),
@@ -136,26 +144,6 @@ class TestNetworkGeometry:
         assert sinr(net, (3.0, 1.0), 0) == 1.5
         assert sinr(net, (3.0, 1.0), 1) == 0.25
 
-    def test_throughput_uses_bandwidth(self):
-        net = NetworkState(
-            nodes=(NodeConfig(0, 1.0, 0.1), NodeConfig(1, 1.0, 0.1)),
-            noise_power=1.0,
-            bandwidth=2.0,
-        )
-        # SINR 3 at bandwidth 2 gives 2 * log2(4) = 4
-        assert throughput(net, (3.0, 0.0), 0) == 4.0
-        lean = NetworkState(nodes=net.nodes, noise_power=1.0)
-        assert throughput(lean, (3.0, 0.0), 0) == 2.0
-
-    def test_throughput_threshold_inverts_rate_map(self):
-        for gamma in (0.01, 1.0, 3.0, 42.0):
-            node = NodeConfig(0, 1.0, gamma)
-            assert 2.0 ** node.throughput_threshold - 1.0 == pytest.approx(
-                gamma, rel=1e-12
-            )
-        assert NodeConfig(0, 1.0, 1.0).throughput_threshold == 1.0
-        assert NodeConfig(0, 1.0, 3.0).throughput_threshold == 2.0
-
     def test_profile_length_checked(self):
         net = two_node_network()
         with pytest.raises(ValueError):
@@ -187,8 +175,6 @@ class TestNetworkGeometry:
             NetworkState(nodes=(), noise_power=1.0)
         with pytest.raises(ValueError):
             NetworkState(nodes=(node,), noise_power=0.0)
-        with pytest.raises(ValueError):
-            NetworkState(nodes=(node,), noise_power=1.0, bandwidth=0.0)
         with pytest.raises(ValueError):
             NetworkState(nodes=(node, node), noise_power=1.0)
         with pytest.raises(ValueError):

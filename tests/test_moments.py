@@ -1,27 +1,23 @@
-"""Gamma fit, moment conversions, and the shifted inverse-moment series."""
-import math
+"""Gamma fit, central moments, and the shifted inverse-moment series."""
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epipower.moments import (
     DEFAULT_TRUNCATION,
     STATUS_OK,
     STATUS_TRUNCATED,
     GammaInterferenceModel,
-    MomentVector,
     RayleighPrior,
-    expected_inverse_shifted,
     fit_gamma_mme,
     fit_interference,
     gamma_central_moments,
-    gamma_raw_moment,
+    int_power,
     inverse_moment_value,
     inverse_shifted_moment,
-    raw_to_central,
-    sinr_raw_moment,
+    kth_root,
 )
 from epipower.oracles import (
     erlang_quantiles,
@@ -126,25 +122,9 @@ class TestGammaFit:
 
 
 class TestMomentVectors:
-    def test_gamma_raw_moments(self):
-        m = fit_gamma_mme((1.0, 1.0, 1.0), lam=0.5)  # Gamma(3, 2)
-        assert gamma_raw_moment(m, 0) == 1.0
-        assert gamma_raw_moment(m, 1) == 6.0
-        assert gamma_raw_moment(m, 2) == 48.0
-        assert gamma_raw_moment(m, 3) == 480.0
-        m2 = fit_gamma_mme((1.0, 3.0), lam=1.0)  # Gamma(1.6, 2.5)
-        assert gamma_raw_moment(m2, 2) == 26.0
-        assert gamma_raw_moment(m2, 3) == 234.0
-
     def test_gamma_central_moments(self):
         assert gamma_central_moments(3.0, 2.0, 3) == [1.0, 0.0, 12.0, 48.0]
         assert gamma_central_moments(1.6, 2.5, 3) == [1.0, 0.0, 10.0, 50.0]
-
-    def test_raw_to_central_deterministic_limit(self):
-        # zero-variance raw moments must produce an exactly zero central moment
-        for m in (0.25, 1.0, 3.5):
-            mv = raw_to_central([m, m * m])
-            assert mv.central_moment(2) == 0.0
 
     @given(
         alpha=st.floats(min_value=0.2, max_value=50.0),
@@ -182,41 +162,25 @@ class TestMomentVectors:
             scalar = gamma_central_moments(float(alphas[i]), float(thetas[i]), 8)
             assert [float(r[i]) for r in rows] == scalar
 
-    def test_raw_to_central_agrees_with_gamma_closed_form(self):
-        m = fit_gamma_mme((1.0, 3.0), lam=1.0)
-        raw = [gamma_raw_moment(m, n) for n in range(1, 5)]
-        mv = raw_to_central(raw)
-        direct = gamma_central_moments(m.alpha_hat, m.theta_hat, 4)
-        for n in range(2, 5):
-            assert mv.central_moment(n) == pytest.approx(direct[n], rel=1e-12)
-
-    def test_moment_vector_validation(self):
-        mv = MomentVector.from_raw((6.0, 48.0))
-        assert mv.raw_moment(1) == 6.0
-        assert mv.central_moment(2) == 12.0
-        with pytest.raises(ValueError):
-            mv.raw_moment(3)
-        with pytest.raises(ValueError):
-            raw_to_central([])
 
 
 class TestInverseShiftedSeries:
     def test_frozen_fourth_order_value(self):
         m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
-        s = expected_inverse_shifted(m, truncation=4)
+        s = inverse_shifted_moment(m, 1, truncation=4)
         assert s.value == 0.009443711293177426
         assert s.terms_used == 4
         assert s.status == STATUS_OK
 
     def test_fourth_order_close_to_quadrature(self):
         m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
-        s = expected_inverse_shifted(m, truncation=4)
+        s = inverse_shifted_moment(m, 1, truncation=4)
         q = quadrature_inverse_moment(m, k=1)
         assert s.value == pytest.approx(q, rel=1e-6)
 
     def test_zeroth_order_is_inverse_mean(self):
         m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
-        s = expected_inverse_shifted(m, truncation=0)
+        s = inverse_shifted_moment(m, 1, truncation=0)
         assert s.value == 1.0 / 106.0
         assert s.terms_used == 0
         assert s.status == STATUS_OK
@@ -224,25 +188,25 @@ class TestInverseShiftedSeries:
     def test_divergence_onset_truncates(self):
         # eta far below E[Y] with alpha near 1: the tail grows quickly
         m = GammaInterferenceModel(alpha_hat=1.1, theta_hat=1.0, lam=1.0, eta=0.1)
-        s = expected_inverse_shifted(m, truncation=8)
+        s = inverse_shifted_moment(m, 1, truncation=8)
         assert s.status == STATUS_TRUNCATED
         assert s.terms_used == 2
         # re-running with the reported order reproduces the value cleanly
-        again = expected_inverse_shifted(m, truncation=s.terms_used)
+        again = inverse_shifted_moment(m, 1, truncation=s.terms_used)
         assert again.value == s.value
         assert again.status == STATUS_OK
 
-    def test_k1_alias(self):
-        m = GammaInterferenceModel(alpha_hat=2.0, theta_hat=1.5, lam=1.0, eta=30.0)
-        a = expected_inverse_shifted(m, truncation=3)
-        b = inverse_shifted_moment(m, 1, truncation=3)
-        assert a == b
-
     def test_default_truncation(self):
         m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
-        assert expected_inverse_shifted(m) == expected_inverse_shifted(
-            m, truncation=DEFAULT_TRUNCATION
+        assert inverse_shifted_moment(m, 1) == inverse_shifted_moment(
+            m, 1, truncation=DEFAULT_TRUNCATION
         )
+
+    def test_third_moment_against_quadrature(self):
+        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
+        s = inverse_shifted_moment(m, 3, truncation=4)
+        q = quadrature_inverse_moment(m, k=3)
+        assert s.value == pytest.approx(q, rel=2e-5)
 
     def test_rejects_bad_orders(self):
         m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
@@ -275,6 +239,7 @@ class TestInverseShiftedSeries:
         exponent=st.integers(min_value=-3, max_value=3),
     )
     @settings(max_examples=150, deadline=None)
+    @example(alpha=1.0, theta=1.0, ratio=36.41114227829364, k=3, exponent=1)
     def test_power_of_two_scale_covariance_is_bitwise(
         self, alpha, theta, ratio, k, exponent
     ):
@@ -302,37 +267,9 @@ class TestInverseShiftedSeries:
         eta = ratio * sum(powers) / lam
         base = fit_gamma_mme(powers, lam=lam, eta=eta)
         scaled = fit_gamma_mme([p * c for p in powers], lam=lam, eta=eta * c)
-        a = expected_inverse_shifted(base, truncation=3)
-        b = expected_inverse_shifted(scaled, truncation=3)
+        a = inverse_shifted_moment(base, 1, truncation=3)
+        b = inverse_shifted_moment(scaled, 1, truncation=3)
         assert b.value == pytest.approx(a.value / c, rel=1e-12)
-
-
-class TestSinrMoments:
-    def test_second_moment_zeroth_order_closed_form(self):
-        # bracket = 1 at T=0, so m_2 = (2!/lam^2) p^2 / (E[Y]+eta)^2 exactly
-        m = GammaInterferenceModel(alpha_hat=2.0, theta_hat=2.0, lam=1.0, eta=6.0)
-        prior = RayleighPrior.from_rate(1.0)
-        s = sinr_raw_moment(2, prior, 1.0, m, truncation=0)
-        assert s.value == 0.02
-
-    def test_first_moment_scales_linearly_in_power(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
-        prior = RayleighPrior.from_rate(0.5)
-        one = sinr_raw_moment(1, prior, 1.0, m)
-        four = sinr_raw_moment(1, prior, 4.0, m)
-        assert four.value == 4.0 * one.value
-
-    def test_third_moment_against_quadrature(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
-        prior = RayleighPrior.from_rate(1.0)
-        s = sinr_raw_moment(3, prior, 1.0, m, truncation=4)
-        q = math.factorial(3) * quadrature_inverse_moment(m, k=3)
-        assert s.value == pytest.approx(q, rel=2e-5)
-
-    def test_rejects_zero_order(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
-        with pytest.raises(ValueError):
-            sinr_raw_moment(0, RayleighPrior.from_rate(1.0), 1.0, m)
 
 
 class TestVectorisedKernel:
@@ -355,6 +292,15 @@ class TestVectorisedKernel:
             assert vec[i] == s.value
             assert int(used[i]) == s.terms_used
             assert bool(flagged[i]) == (s.status == STATUS_TRUNCATED)
+
+    def test_int_power_and_kth_root(self):
+        x = np.array([1e-30, 0.37, 1.0, 37.41114227829364, 5e20])
+        for k in range(1, 6):
+            np.testing.assert_allclose(int_power(x, k), x**k, rtol=1e-15)
+            np.testing.assert_allclose(int_power(kth_root(x, k), k), x, rtol=1e-14)
+            # a 0-d operand rounds like the matching array row
+            assert int_power(x[3:4], k)[0] == int_power(np.asarray(x[3]), k)
+            assert kth_root(x[3:4], k)[0] == kth_root(np.asarray(x[3]), k)
 
     def test_model_requires_positive_parameters(self):
         with pytest.raises(ValueError):
