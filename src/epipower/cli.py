@@ -25,7 +25,7 @@ from .game import (
     sinr,
     solve_nash_full_csi,
 )
-from .harness import run_scenario, sweep_conditioned, sweep_population
+from .harness import run_scenario, sweep
 from .moments import (
     RayleighPrior,
     fit_gamma_mme,
@@ -48,8 +48,8 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+def _fmt(x: float | str) -> str:
+    return x if isinstance(x, str) else f"{x:.9g}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,6 +241,14 @@ def _write_csv(path: str, comment_lines, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+# reported metric -> (value field, CI field) of ScenarioMetrics
+_METRIC_FIELDS = {
+    "avg_power": ("avg_power", "power_ci"),
+    "coverage": ("coverage", "ci_halfwidth"),
+    "outage": ("outage", "ci_halfwidth"),
+}
+
+
 def _cmd_figure(args) -> int:
     if args.print_defaults:
         for section, kv in figure_defaults(args.number).items():
@@ -257,55 +265,20 @@ def _cmd_figure(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    metric_name = {3: "avg_power", 4: "coverage", 5: "outage", 6: "avg_power"}[
-        args.number
-    ]
     comments = [
         f"figure = {args.number}",
-        f"metric = {metric_name}",
+        f"metric = {cfg.metric}",
         *cfg.stamp_lines(),
     ]
-
-    warned = False
-    out_rows = []
-    if args.number in (3, 4):
-        if not cfg.gains or not cfg.thresholds_db:
-            print("config error: sweep needs gains_linear and thresholds_db",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        rows = sweep_conditioned(cfg.spec, cfg.gains, cfg.thresholds_db)
-        header = ["gain", "threshold_db", "metric", "ci"]
-        for row in rows:
-            m = row["metrics"]
-            warned = warned or m.warning
-            value, ci = (
-                (m.coverage, m.ci_halfwidth)
-                if metric_name == "coverage"
-                else (m.avg_power, m.power_ci)
-            )
-            out_rows.append(
-                [_fmt(row["gain"]), _fmt(row["threshold_db"]), _fmt(value), _fmt(ci)]
-            )
-    else:
-        if not cfg.interference_pct or not cfg.policies:
-            print("config error: sweep needs interference_pct and policies",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        rows = sweep_population(cfg.spec, cfg.interference_pct, cfg.policies)
-        header = ["interference_pct", "policy", "metric", "ci"]
-        for row in rows:
-            m = row["metrics"]
-            warned = warned or m.warning
-            value, ci = (
-                (m.outage, m.ci_halfwidth)
-                if metric_name == "outage"
-                else (m.avg_power, m.power_ci)
-            )
-            out_rows.append(
-                [_fmt(row["interference_pct"]), row["policy"], _fmt(value), _fmt(ci)]
-            )
-
-    _write_csv(args.out, comments, header, out_rows)
+    columns = [column for column, _ in cfg.axes]
+    fields = _METRIC_FIELDS[cfg.metric]
+    rows = sweep(cfg.spec, cfg.axes)
+    out_rows = [
+        [_fmt(row[c]) for c in columns]
+        + [_fmt(getattr(row["metrics"], f)) for f in fields]
+        for row in rows
+    ]
+    _write_csv(args.out, comments, columns + ["metric", "ci"], out_rows)
     print(f"wrote {len(out_rows)} rows to {args.out}")
     for row in rows:
         m = row["metrics"]
@@ -315,7 +288,7 @@ def _cmd_figure(args) -> int:
                 f"note: stage cap reached for {m.stage_cap_fraction:.1%} "
                 f"of reasoning rows at {keys}"
             )
-    if warned:
+    if any(row["metrics"].warning for row in rows):
         print(
             "warning: solver failure fraction exceeded 1% at one or more points",
             file=sys.stderr,

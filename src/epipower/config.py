@@ -97,15 +97,26 @@ _POPULATION_DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
+# figure -> (reported metric, family defaults, ((CSV column, [sweep] key), ...));
+# the axes are listed outermost first
+_CONDITIONED_AXES = (("gain", "gains_linear"), ("threshold_db", "thresholds_db"))
+_POPULATION_AXES = (("interference_pct", "interference_pct"), ("policy", "policies"))
+_FIGURES = {
+    3: ("avg_power", _CONDITIONED_DEFAULTS, _CONDITIONED_AXES),
+    4: ("coverage", _CONDITIONED_DEFAULTS, _CONDITIONED_AXES),
+    5: ("outage", _POPULATION_DEFAULTS, _POPULATION_AXES),
+    6: ("avg_power", _POPULATION_DEFAULTS, _POPULATION_AXES),
+}
+
+
 def figure_defaults(figure: int) -> dict[str, dict[str, str]]:
     """Raw default key/value table for one of the four figure numbers."""
-    if figure not in (3, 4, 5, 6):
+    if figure not in _FIGURES:
         raise ConfigError(f"unknown figure {figure}; expected 3, 4, 5 or 6")
     merged: dict[str, dict[str, str]] = {
         s: dict(kv) for s, kv in _COMMON_DEFAULTS.items()
     }
-    extra = _CONDITIONED_DEFAULTS if figure in (3, 4) else _POPULATION_DEFAULTS
-    for section, kv in extra.items():
+    for section, kv in _FIGURES[figure][1].items():
         merged.setdefault(section, {}).update(kv)
     return merged
 
@@ -115,10 +126,8 @@ class RunConfig:
     """Typed, validated view of the merged defaults + file + environment."""
 
     spec: ScenarioSpec
-    gains: tuple[float, ...]
-    thresholds_db: tuple[float, ...]
-    interference_pct: tuple[float, ...]
-    policies: tuple[str, ...]
+    metric: str  # the ScenarioMetrics quantity the figure reports
+    axes: tuple[tuple[str, tuple], ...]  # (CSV column, values), outermost first
     resolved: tuple[tuple[str, str], ...]  # flat (section.key, value) stamp
 
     def stamp_lines(self) -> list[str]:
@@ -186,60 +195,50 @@ def load_run_config(
     if workers_override is not None:
         scen_raw["workers"] = str(workers_override)
 
-    typed: dict[str, dict[str, object]] = {}
-    for section, kv in table.items():
-        for key, raw in kv.items():
-            kind = _SCHEMA[section][key]
-            typed.setdefault(section, {})[key] = _parse_value(
-                kind, raw, f"[{section}] {key}"
-            )
-
-    scen = typed.get("scenario", {})
-    grid_cfg = typed.get("grid", {})
-    pol = typed.get("policy", {})
-    base = typed.get("baselines", {})
-    sweep = typed.get("sweep", {})
-
+    typed = {
+        section: {
+            key: _parse_value(_SCHEMA[section][key], raw, f"[{section}] {key}")
+            for key, raw in kv.items()
+        }
+        for section, kv in table.items()
+    }
+    scen, pol, base = typed["scenario"], typed["policy"], typed["baselines"]
     try:
-        grid = PowerGrid.linear(
-            n_levels=int(grid_cfg.get("levels", 1001)),
-            p_max=float(grid_cfg.get("p_max_linear", 1.0)),
-        )
-        policy = EpistemicPolicy(
-            moment_order=int(pol.get("moment_order", 1)),
-            truncation=int(pol.get("truncation", 4)),
-        )
         spec = ScenarioSpec(
-            grid=grid,
-            n_nodes=int(scen.get("nodes", 100)),
-            rayleigh_sigma=float(scen.get("rayleigh_sigma", 1.0)),
-            noise_power=10.0 ** (float(scen.get("noise_power_db", -120.0)) / 10.0),
-            sinr_threshold=10.0
-            ** (float(scen.get("sinr_threshold_db", -20.0)) / 10.0),
-            interference_fraction=float(scen.get("interference_fraction", 1.0)),
-            solver=str(scen.get("solver", "epistemic")),
-            policy=policy,
-            max_stages=int(pol.get("max_stages", 1)),
-            epa_level=float(base.get("epa_level_linear", 1.0)),
-            sncpc_max_iter=int(base.get("sncpc_max_iter", 2000)),
-            trials=int(scen.get("trials", 10000)),
-            seed=int(scen.get("seed", 42)),
-            conditioned_gain=(
-                float(scen["conditioned_gain_linear"])
-                if "conditioned_gain_linear" in scen
-                else None
+            grid=PowerGrid.linear(
+                n_levels=typed["grid"]["levels"],
+                p_max=typed["grid"]["p_max_linear"],
             ),
-            workers=int(scen.get("workers", 1)),
+            n_nodes=scen["nodes"],
+            rayleigh_sigma=scen["rayleigh_sigma"],
+            noise_power=10.0 ** (scen["noise_power_db"] / 10.0),
+            sinr_threshold=10.0 ** (scen["sinr_threshold_db"] / 10.0),
+            interference_fraction=scen["interference_fraction"],
+            solver=scen["solver"],
+            policy=EpistemicPolicy(
+                moment_order=pol["moment_order"], truncation=pol["truncation"]
+            ),
+            max_stages=pol["max_stages"],
+            epa_level=base["epa_level_linear"],
+            sncpc_max_iter=base["sncpc_max_iter"],
+            trials=scen["trials"],
+            seed=scen["seed"],
+            conditioned_gain=scen.get("conditioned_gain_linear"),
+            workers=scen["workers"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    policies = tuple(sweep.get("policies", ()))
-    for label in policies:
+    sweep = typed["sweep"]
+    for label in sweep.get("policies", ()):
         if label not in POLICY_LABELS:
             raise ConfigError(
                 f"unknown policy label {label!r}; expected one of {POLICY_LABELS}"
             )
+    metric, _, axis_keys = _FIGURES[figure]
+    axes = tuple((column, sweep[key]) for column, key in axis_keys)
+    if not all(values for _, values in axes):
+        raise ConfigError("sweep needs " + " and ".join(k for _, k in axis_keys))
 
     resolved = []
     for section in sorted(table):
@@ -249,11 +248,4 @@ def load_run_config(
             if (section, key) == ("scenario", "workers"):
                 continue
             resolved.append((f"{section}.{key}", table[section][key]))
-    return RunConfig(
-        spec=spec,
-        gains=tuple(sweep.get("gains_linear", ())),
-        thresholds_db=tuple(sweep.get("thresholds_db", ())),
-        interference_pct=tuple(sweep.get("interference_pct", ())),
-        policies=policies,
-        resolved=tuple(resolved),
-    )
+    return RunConfig(spec=spec, metric=metric, axes=axes, resolved=tuple(resolved))

@@ -90,7 +90,6 @@ class UpdateRecord:
     role: str
     target: int
     eta: float
-    interference_mean: float
     slope: float
     evidence: float
     feasible: bool
@@ -191,7 +190,7 @@ class NodeEngine:
 
     def _update(
         self, stage: int, role: str, target: int, slope: float,
-        threshold: float, eta: float, mean: float, flags: tuple[str, ...],
+        threshold: float, eta: float, flags: tuple[str, ...],
     ) -> tuple[float, bool]:
         idx, evals = self._select(slope, threshold)
         self.eu_evaluations += evals
@@ -206,7 +205,6 @@ class NodeEngine:
                 role=role,
                 target=target,
                 eta=eta,
-                interference_mean=mean,
                 slope=slope,
                 evidence=power,
                 feasible=feasible,
@@ -242,9 +240,8 @@ class NodeEngine:
                 flags = flags + (FLAG_NEGATIVE_CLAMPED,)
             else:
                 slope = inter_slope(k, lam, series.value)
-            mean = math.fsum(others) / lam if others else 0.0
             power, _ = self._update(
-                stage, ROLE_RIVAL, rid, slope, rthr, eta_rival, mean, flags
+                stage, ROLE_RIVAL, rid, slope, rthr, eta_rival, flags
             )
             new_beliefs[rid] = power
         self.believed = new_beliefs
@@ -260,10 +257,9 @@ class NodeEngine:
             flags = flags + (FLAG_NEGATIVE_CLAMPED,)
         else:
             slope = intra_slope(k, self.gain_sq, series.value)
-        mean = math.fsum(own_interferers) / lam if own_interferers else 0.0
         self.own_power, self.own_feasible = self._update(
             stage, ROLE_SELF, self.node_id, slope, self.sinr_threshold,
-            self.noise_power, mean, flags,
+            self.noise_power, flags,
         )
         return self.believed != entry_beliefs or self.own_power != entry_own
 

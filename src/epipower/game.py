@@ -252,7 +252,6 @@ def solve_nash_full_csi(
     network: NetworkState,
     grid: PowerGrid,
     max_rounds: int = 200,
-    initial: Sequence[float] | None = None,
 ) -> NashResult:
     """Sequential best-response sweeps from the all-lowest profile.
 
@@ -267,12 +266,7 @@ def solve_nash_full_csi(
     the visited trace attached) if no fixed point appears in max_rounds.
     """
     n = len(network)
-    if initial is None:
-        profile = [grid.p_min] * n
-    else:
-        profile = [float(p) for p in initial]
-        if len(profile) != n:
-            raise ValueError("initial profile length must match the network")
+    profile = [grid.p_min] * n
     trace: list[tuple[float, ...]] = [tuple(profile)]
     feasible = [True] * n
     for rounds in range(1, max_rounds + 1):
@@ -300,7 +294,6 @@ def nash_deviation_scan(
     network: NetworkState,
     grid: PowerGrid,
     powers: Sequence[float],
-    epsilon: float = 0.0,
 ) -> list[tuple[int, float]]:
     """Exhaustively search all unilateral grid deviations that beat a profile.
 
@@ -308,9 +301,9 @@ def nash_deviation_scan(
     possible (capped there, so overshoot earns nothing), then minimise
     power.  This is exactly the preference whose best response is "the
     cheapest feasible level, or p_max when none is".  A deviation counts
-    as profitable if it raises the capped SINR, or holds it while saving
-    more than epsilon in power.  Empty result certifies an epsilon-Nash
-    point.  Exhaustive on purpose; cost is len(grid) * n^2 SINR evaluations.
+    as profitable if it raises the capped SINR, or holds it at a lower
+    power.  Empty result certifies a Nash point of the grid game.
+    Exhaustive on purpose; cost is len(grid) * n^2 SINR evaluations.
     """
     profile = [float(p) for p in powers]
     improvements: list[tuple[int, float]] = []
@@ -324,6 +317,6 @@ def nash_deviation_scan(
             cand_capped = min(sinr(network, candidate, i), node.sinr_threshold)
             if cand_capped > cur_capped:
                 improvements.append((i, level))
-            elif cand_capped == cur_capped and level < profile[i] - epsilon:
+            elif cand_capped == cur_capped and level < profile[i]:
                 improvements.append((i, level))
     return improvements

@@ -17,6 +17,7 @@ how many worker processes are used.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -34,8 +35,7 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioMetrics",
     "run_scenario",
-    "sweep_conditioned",
-    "sweep_population",
+    "sweep",
     "POLICY_LABELS",
 ]
 
@@ -93,6 +93,12 @@ class ScenarioSpec:
             raise ValueError("conditioned_gain must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.epa_level is not None:
+            try:
+                self.grid.index_of(self.epa_level)
+            except ValueError as exc:
+                msg = f"epa_level {exc} ([baselines] epa_level_linear)"
+                raise ValueError(msg) from None
         if self.active_count < 1:
             raise ValueError(
                 "scenario has no transmitters; raise "
@@ -265,45 +271,27 @@ def policy_spec(base: ScenarioSpec, label: str) -> ScenarioSpec:
     raise ValueError(f"unknown policy label {label!r}")
 
 
-def sweep_conditioned(
-    base: ScenarioSpec,
-    gains: tuple[float, ...],
-    thresholds_db: tuple[float, ...],
-) -> list[dict]:
-    """Metrics grid over (conditioned gain, SINR target) pairs.
+# swept CSV column -> how one value of it specialises a spec
+_AXES = {
+    "gain": lambda spec, v: replace(spec, conditioned_gain=v),
+    "threshold_db": lambda spec, v: replace(spec, sinr_threshold=10.0 ** (v / 10.0)),
+    "interference_pct": lambda spec, v: replace(spec, interference_fraction=v / 100.0),
+    "policy": policy_spec,
+}
 
+
+def sweep(base: ScenarioSpec, axes: tuple[tuple[str, tuple], ...]) -> list[dict]:
+    """Metrics at every point of the product of named axes, first axis outermost.
+
+    ``axes`` holds (column, values) pairs with columns from ``_AXES``.
     The same master seed is reused at every point, so curves differ only
-    through the parameter under sweep, not through resampling noise.
+    through the parameters under sweep, not through resampling noise.
     """
+    columns = [column for column, _ in axes]
     rows = []
-    for gain in gains:
-        for thr_db in thresholds_db:
-            spec = replace(
-                base,
-                conditioned_gain=gain,
-                sinr_threshold=10.0 ** (thr_db / 10.0),
-            )
-            metrics = run_scenario(spec)
-            rows.append(
-                {"gain": gain, "threshold_db": thr_db, "metrics": metrics}
-            )
-    return rows
-
-
-def sweep_population(
-    base: ScenarioSpec,
-    interference_pct: tuple[float, ...],
-    policies: tuple[str, ...],
-) -> list[dict]:
-    """Metrics grid over (active-node percentage, policy label) pairs."""
-    rows = []
-    for pct in interference_pct:
-        for label in policies:
-            spec = policy_spec(
-                replace(base, interference_fraction=pct / 100.0), label
-            )
-            metrics = run_scenario(spec)
-            rows.append(
-                {"interference_pct": pct, "policy": label, "metrics": metrics}
-            )
+    for point in itertools.product(*(values for _, values in axes)):
+        spec = base
+        for column, value in zip(columns, point):
+            spec = _AXES[column](spec, value)
+        rows.append({**dict(zip(columns, point)), "metrics": run_scenario(spec)})
     return rows

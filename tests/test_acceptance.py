@@ -26,7 +26,7 @@ from epipower.game import (
     nash_deviation_scan,
     solve_nash_full_csi,
 )
-from epipower.harness import run_scenario, sweep_conditioned, sweep_population
+from epipower.harness import run_scenario, sweep
 from epipower.moments import RayleighPrior, fit_gamma_mme, inverse_shifted_moment
 from epipower.oracles import erlang_quantiles, quadrature_inverse_moment
 
@@ -50,9 +50,8 @@ def note(line: str) -> None:
 def conditioned_table():
     """Default single-node-conditioned sweep: (gain, threshold_db) -> metrics."""
     cfg = load_run_config(3, env={})
-    assert cfg.gains == GAINS
-    assert cfg.thresholds_db == THRESHOLDS_DB
-    rows = sweep_conditioned(cfg.spec, cfg.gains, cfg.thresholds_db)
+    assert cfg.axes == (("gain", GAINS), ("threshold_db", THRESHOLDS_DB))
+    rows = sweep(cfg.spec, cfg.axes)
     return {(r["gain"], r["threshold_db"]): r["metrics"] for r in rows}
 
 
@@ -60,8 +59,8 @@ def conditioned_table():
 def population_table():
     """Default population sweep: (interference_pct, policy) -> metrics."""
     cfg = load_run_config(5, env={})
-    assert cfg.interference_pct == PCTS
-    rows = sweep_population(cfg.spec, cfg.interference_pct, cfg.policies)
+    assert cfg.axes[0] == ("interference_pct", PCTS)
+    rows = sweep(cfg.spec, cfg.axes)
     return {(r["interference_pct"], r["policy"]): r["metrics"] for r in rows}
 
 

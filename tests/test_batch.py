@@ -7,8 +7,8 @@ from epipower.batch import (
     select_lowest_feasible_batch,
     sncpc_response,
 )
-from epipower.engine import EpistemicPolicy, NodeEngine
-from epipower.game import PowerGrid
+from epipower.engine import EpistemicPolicy, NodeEngine, run_epistemic_game
+from epipower.game import NetworkState, NodeConfig, PowerGrid
 from epipower.moments import RayleighPrior
 
 
@@ -173,6 +173,81 @@ class TestEpistemicParity:
             epistemic_response(
                 np.ones(3), 2, 0.0, 0.1, grid, EpistemicPolicy(), prior, 1
             )
+
+
+def scaled(grid, m):
+    return PowerGrid(levels=tuple(level * 2.0**m for level in grid.levels))
+
+
+def grid_indices(grid, powers):
+    levels = grid.as_array()
+    idx = np.searchsorted(levels, powers)
+    assert np.array_equal(levels[idx], powers)  # every power is a grid level
+    return idx.tolist()
+
+
+class TestScaleInvariance:
+    """Scaling p_max and the noise together by 2^m moves no grid index.
+
+    Every statistic is p times a slope that scales by 2^-m, so the grid
+    tests see identical products.  k = 3 is left out: its root is
+    np.cbrt, which is not guaranteed to be correctly rounded.
+    """
+
+    # (n_active, levels, target dB, stage cap)
+    SETTINGS = [(1, 101, -10.0, 4), (2, 101, -6.0, 6), (5, 1001, -12.0, 8),
+                (30, 1001, -18.0, 8), (100, 10001, -21.0, 5)]
+
+    @pytest.mark.parametrize("m", [-10, -3, 3, 10])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_batch_indices_unchanged(self, m, k):
+        rng = np.random.default_rng(40 + k)
+        prior = RayleighPrior(sigma=1.0)
+        policy = EpistemicPolicy(moment_order=k, truncation=4)
+        for n_active, n_levels, thr_db, stages in self.SETTINGS:
+            gains = rng.rayleigh(scale=1.0, size=256)
+            grid = PowerGrid.linear(n_levels, 1.0)
+            runs = [
+                (g, epistemic_response(
+                    gains, n_active, 10.0 ** (thr_db / 10.0), noise, g, policy,
+                    prior, stages,
+                ))
+                for g, noise in ((grid, 1e-3), (scaled(grid, m), 1e-3 * 2.0**m))
+            ]
+            (g0, a), (g1, b) = runs
+            assert grid_indices(g0, a.powers) == grid_indices(g1, b.powers)
+            assert grid_indices(g0, a.believed) == grid_indices(g1, b.believed)
+            assert a.feasible.tolist() == b.feasible.tolist()
+            assert a.converged.tolist() == b.converged.tolist()
+            assert a.stages_run.tolist() == b.stages_run.tolist()
+
+    @pytest.mark.parametrize("m", [-10, -3, 3, 10])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_engine_indices_unchanged(self, m, k):
+        rng = np.random.default_rng(70 + k)
+        gains = rng.rayleigh(scale=1.0, size=6)
+        targets_db = (-14.0, -10.0, -7.0, -14.0, -10.0, -7.0)
+        grid = PowerGrid.linear(201, 1.0)
+        outcomes = []
+        for g, noise in ((grid, 1e-3), (scaled(grid, m), 1e-3 * 2.0**m)):
+            nodes = tuple(
+                NodeConfig(i, float(a), 10.0 ** (t / 10.0))
+                for i, (a, t) in enumerate(zip(gains, targets_db))
+            )
+            out = run_epistemic_game(
+                NetworkState(nodes=nodes, noise_power=noise), g,
+                EpistemicPolicy(moment_order=k), RayleighPrior(sigma=1.0),
+                max_stages=12,
+            )
+            outcomes.append([
+                (
+                    grid_indices(g, [n.power]),
+                    grid_indices(g, [p for _, p in n.believed_powers]),
+                    n.feasible, n.converged, n.stages_run,
+                )
+                for n in out.nodes
+            ])
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSharedPowerBatch:

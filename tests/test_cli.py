@@ -228,6 +228,20 @@ class TestFigure:
         assert "config error" in err
         assert "trails" in err
 
+    def test_off_grid_epa_level_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[grid]\nlevels = 11\np_max_linear = 0.5\n"
+            "[sweep]\npolicies = EPA, M1\n"
+        )
+        out_csv = tmp_path / "fig6.csv"
+        code, _, err = run(
+            capsys, "figure", "6", "--config", str(path), "--out", str(out_csv)
+        )
+        assert code == EXIT_USAGE
+        assert "config error" in err and "epa_level_linear" in err
+        assert not out_csv.exists()
+
     def test_print_defaults(self, capsys):
         code, out, _ = run(capsys, "figure", "5", "--print-defaults", "--out", "x")
         assert code == EXIT_OK

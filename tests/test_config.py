@@ -20,8 +20,11 @@ class TestDefaults:
         assert len(cfg.spec.grid) == 1001
         assert cfg.spec.grid.p_max == 1.0
         assert cfg.spec.interference_fraction == 1.0
-        assert cfg.gains == (0.2, 0.5, 1.0)
-        assert cfg.thresholds_db == (-30.0, -27.0, -24.0, -21.0, -18.0)
+        assert cfg.metric == "avg_power"
+        assert cfg.axes == (
+            ("gain", (0.2, 0.5, 1.0)),
+            ("threshold_db", (-30.0, -27.0, -24.0, -21.0, -18.0)),
+        )
         # -24 dB default target
         assert cfg.spec.sinr_threshold == pytest.approx(10.0 ** (-2.4))
 
@@ -31,8 +34,11 @@ class TestDefaults:
         assert cfg.spec.max_stages == 3
         assert cfg.spec.sncpc_max_iter == 2000
         assert cfg.spec.interference_fraction == 0.8
-        assert cfg.interference_pct == (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)
-        assert cfg.policies == ("M1", "M2", "M3", "M4", "EPA", "SNCPC")
+        assert cfg.metric == "outage"
+        assert cfg.axes == (
+            ("interference_pct", (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)),
+            ("policy", ("M1", "M2", "M3", "M4", "EPA", "SNCPC")),
+        )
 
     def test_figure_defaults_table(self):
         table = figure_defaults(4)
@@ -79,6 +85,24 @@ class TestFileOverrides:
         path = write(tmp_path, "[sweep]\npolicies = M1, M9\n")
         with pytest.raises(ConfigError, match="M9"):
             load_run_config(5, path=path, env={})
+
+    def test_empty_sweep_axis_rejected(self, tmp_path):
+        for figure, text, keys in (
+            (3, "thresholds_db =", "gains_linear and thresholds_db"),
+            (6, "policies =", "interference_pct and policies"),
+        ):
+            path = write(tmp_path, f"[sweep]\n{text}\n")
+            with pytest.raises(ConfigError, match=f"^sweep needs {keys}$"):
+                load_run_config(figure, path=path, env={})
+
+    def test_epa_level_must_be_a_grid_level(self, tmp_path):
+        # the default 1.0 W is twice p_max on this grid
+        text = "[grid]\nlevels = 11\np_max_linear = 0.5\n[sweep]\npolicies = EPA, M1\n"
+        with pytest.raises(ConfigError, match=r"\[baselines\] epa_level_linear"):
+            load_run_config(6, path=write(tmp_path, text), env={})
+        text += "[baselines]\nepa_level_linear = 0.5\n"
+        cfg = load_run_config(6, path=write(tmp_path, text), env={})
+        assert cfg.spec.epa_level == 0.5
 
     def test_inline_comments_stripped(self, tmp_path):
         path = write(tmp_path, "[scenario]\ntrials = 64  # quick run\n")

@@ -309,12 +309,6 @@ class TestNashSolver:
         assert a.trace[0] == (0.0, 0.0)
         assert a.trace[-1] == a.powers
 
-    def test_initial_profile_validated(self):
-        net = two_node_network()
-        grid = PowerGrid.linear(1201, 120.0)
-        with pytest.raises(ValueError):
-            solve_nash_full_csi(net, grid, initial=(1.0,))
-
     def test_deviation_scan_flags_wasteful_power(self):
         net = two_node_network()
         grid = PowerGrid.linear(1201, 120.0)

@@ -13,8 +13,7 @@ from epipower.harness import (
     ScenarioSpec,
     policy_spec,
     run_scenario,
-    sweep_conditioned,
-    sweep_population,
+    sweep,
 )
 
 SMALL_GRID = PowerGrid.linear(101, 1.0)
@@ -53,6 +52,14 @@ class TestSpecValidation:
             population_spec(workers=0)
         with pytest.raises(ValueError):
             population_spec(conditioned_gain=0.0)
+
+    def test_epa_level_must_be_a_grid_level(self):
+        # SMALL_GRID steps by 0.01 up to 1.0
+        for level in (1.005, 2.0, -0.01):
+            with pytest.raises(ValueError, match="epa_level"):
+                population_spec(epa_level=level)
+        assert population_spec(epa_level=0.25).epa_level == 0.25
+        assert population_spec(epa_level=1.0).epa_level == 1.0
 
     def test_zero_active_rejected(self):
         with pytest.raises(ValueError, match="no transmitters"):
@@ -224,7 +231,8 @@ class TestSweeps:
 
     def test_conditioned_sweep_rows(self):
         base = population_spec(trials=16, n_nodes=4)
-        rows = sweep_conditioned(base, gains=(0.5, 1.0), thresholds_db=(-24.0, -18.0))
+        rows = sweep(base, (("gain", (0.5, 1.0)), ("threshold_db", (-24.0, -18.0))))
+        assert list(rows[0]) == ["gain", "threshold_db", "metrics"]
         assert [(r["gain"], r["threshold_db"]) for r in rows] == [
             (0.5, -24.0),
             (0.5, -18.0),
@@ -238,7 +246,8 @@ class TestSweeps:
 
     def test_population_sweep_rows(self):
         base = population_spec(trials=16, n_nodes=5)
-        rows = sweep_population(base, interference_pct=(40.0, 80.0), policies=("M1", "EPA"))
+        axes = (("interference_pct", (40.0, 80.0)), ("policy", ("M1", "EPA")))
+        rows = sweep(base, axes)
         assert [(r["interference_pct"], r["policy"]) for r in rows] == [
             (40.0, "M1"),
             (40.0, "EPA"),
@@ -253,7 +262,7 @@ class TestSweeps:
     def test_sweep_threshold_conversion(self):
         # -30 dB is a power ratio of 1e-3
         base = population_spec(trials=8, n_nodes=3)
-        rows = sweep_conditioned(base, gains=(1.0,), thresholds_db=(-30.0,))
+        rows = sweep(base, (("gain", (1.0,)), ("threshold_db", (-30.0,))))
         direct = run_scenario(
             replace(base, conditioned_gain=1.0, sinr_threshold=1e-3)
         )
