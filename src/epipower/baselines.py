@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BatchIterativeResult, sncpc_response
 from .game import NetworkState, PowerGrid
 from .moments import RayleighPrior
 
@@ -34,35 +33,18 @@ def sncpc_solve(
     prior: RayleighPrior,
     max_iter: int = 200,
 ) -> SncpcResult:
-    """Single-network convenience wrapper around the vectorised iteration.
+    """All-p_max Gauss–Seidel descent for one network, the scalar reference.
 
     Nodes exchange transmit powers but not gains; each one suppresses
-    the unknown interference by its prior mean.  Per-node thresholds may
-    differ here (the batch path assumes a common one), so the iteration
-    is done inline when they do.
+    the unknown interference by its prior mean and takes the cheapest
+    grid level meeting its own target (targets may differ per node).
+    Nodes update one at a time in index order from all-p_max, the
+    schedule ``batch.sncpc_response`` descends with; that kernel starts
+    from a closed-form profile instead and is checked against this loop.
     """
-    gains = np.asarray([[n.gain for n in network.nodes]])
-    thresholds = {n.sinr_threshold for n in network.nodes}
-    if len(thresholds) == 1:
-        res: BatchIterativeResult = sncpc_response(
-            gains,
-            sinr_threshold=next(iter(thresholds)),
-            noise_power=network.noise_power,
-            grid=grid,
-            prior=prior,
-            max_iter=max_iter,
-        )
-        return SncpcResult(
-            powers=tuple(float(p) for p in res.powers[0]),
-            feasible=tuple(bool(f) for f in res.feasible[0]),
-            converged=bool(res.converged[0]),
-            iterations=int(res.iterations[0]),
-        )
-
-    # heterogeneous targets: same mean-interference response, scalar loop,
-    # same one-node-at-a-time schedule as the batch path
+    gains = np.asarray([n.gain for n in network.nodes])
     levels = grid.as_array()
-    g2 = gains[0] * gains[0]
+    g2 = gains * gains
     powers = np.full(len(network), grid.p_max)
     feasible = np.ones(len(network), dtype=bool)
     iterations = 0

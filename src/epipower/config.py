@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .engine import EpistemicPolicy
 from .game import PowerGrid
-from .harness import POLICY_LABELS, ScenarioSpec
+from .harness import _AXES, POLICY_LABELS, ScenarioSpec
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "figure_defaults"]
 
@@ -239,6 +239,14 @@ def load_run_config(
     axes = tuple((column, sweep[key]) for column, key in axis_keys)
     if not all(values for _, values in axes):
         raise ConfigError("sweep needs " + " and ".join(k for _, k in axis_keys))
+    # each axis sets its own spec fields, so checking the values one at a
+    # time finds every invalid point before the first one runs
+    for (column, key), (_, values) in zip(axis_keys, axes):
+        for value in values:
+            try:
+                _AXES[column](spec, value)
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] {key} value {value}: {exc}") from None
 
     resolved = []
     for section in sorted(table):

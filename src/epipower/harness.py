@@ -85,6 +85,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.max_stages < 1:
             raise ValueError("max_stages must be at least 1")
+        if self.sncpc_max_iter < 1:
+            raise ValueError("sncpc_max_iter must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:

@@ -1,7 +1,11 @@
 """Vectorised solver paths must reproduce the scalar objects bit for bit."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from epipower import batch, config, harness
+from epipower.baselines import sncpc_solve
 from epipower.batch import (
     epistemic_response,
     select_lowest_feasible_batch,
@@ -258,8 +262,12 @@ class TestSharedPowerBatch:
         prior = RayleighPrior(sigma=1.0)
         threshold, noise = 0.1, 0.05
         res = sncpc_response(gains, threshold, noise, grid, prior, max_iter=100)
-        for row in range(gains.shape[0]):
-            p = [grid.p_max] * 3
+        start = batch._sncpc_start(
+            gains * gains, threshold, noise, grid.as_array(), prior.lam
+        )
+
+        def plain_loop(row, p):
+            p = list(p)
             feasible = [True] * 3
             for it in range(1, 101):
                 entry = list(p)
@@ -271,8 +279,14 @@ class TestSharedPowerBatch:
                     feasible[i] = idx is not None
                 if p == entry:
                     break
+            return p, feasible, it
+
+        for row in range(gains.shape[0]):
+            p, feasible, _ = plain_loop(row, [grid.p_max] * 3)
             assert res.powers[row].tolist() == p
             assert res.feasible[row].tolist() == feasible
+            # sweeps are counted from the closed-form start
+            _, _, it = plain_loop(row, start[row].tolist())
             assert res.iterations[row] == it
 
     def test_monotone_descent_terminates(self):
@@ -287,3 +301,115 @@ class TestSharedPowerBatch:
         grid = PowerGrid.linear(11, 1.0)
         with pytest.raises(ValueError):
             sncpc_response(np.ones(3), 0.1, 0.1, grid, RayleighPrior(sigma=1.0))
+
+
+def common_target_network(gains, threshold, noise):
+    return NetworkState(
+        nodes=tuple(NodeConfig(i, float(g), threshold) for i, g in enumerate(gains)),
+        noise_power=noise,
+    )
+
+
+def assert_matches_scalar_descent(res, rows, gains, threshold, noise, grid, prior):
+    """Row by row, the batch kernel ends where the all-p_max scalar loop ends."""
+    for row in rows:
+        ref = sncpc_solve(
+            common_target_network(gains[row], threshold, noise), grid, prior, 2000
+        )
+        assert tuple(res.powers[row].tolist()) == ref.powers, row
+        assert tuple(res.feasible[row].tolist()) == ref.feasible, row
+        assert bool(res.converged[row]) == ref.converged, row
+
+
+# (grid, SINR target times network size, noise) cycled over the sizes
+# below; a product near 1 puts the mean-interference map near singular
+START_CASES = (
+    (PowerGrid.linear(201, 1.0), 0.5, 1e-3),
+    (PowerGrid.linear(101, 2.0, p_min=0.5), 0.9, 1e-2),
+    (PowerGrid(tuple(float(p) for p in np.geomspace(1e-4, 1.0, 61))), 0.7, 1e-6),
+    (PowerGrid.linear(1001, 1.0), 0.98, 1e-4),
+)
+PRIOR = RayleighPrior(sigma=1.0)
+FIG5_LOADS = (20, 30, 40, 50, 60, 70, 80, 90)
+
+
+def figure5_spec(pct):
+    """The default figure-5 point at one load, cut to one 256-trial chunk."""
+    base = config.load_run_config(5, env={}).spec
+    spec = replace(base, interference_fraction=pct / 100.0, trials=256)
+    return spec, harness._chunk_gains(spec, 0)
+
+
+class TestSncpcStart:
+    """The closed-form start must not change where the descent ends."""
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_matches_scalar_descent(self, n):
+        grid, load, noise = START_CASES[n % len(START_CASES)]
+        threshold = load / n
+        rng = np.random.default_rng(n)
+        gains = rng.rayleigh(1.0, (8, n))
+        gains[4:] *= 10.0 ** rng.uniform(-3.0, 3.0, (4, n))
+        gains[6, 0] = 1e-200  # squared gain underflows to 0: never feasible
+        gains[7, -1] = 1e200  # squared gain overflows: slope +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = sncpc_response(gains, threshold, noise, grid, PRIOR, max_iter=2000)
+            assert_matches_scalar_descent(
+                res, range(len(gains)), gains, threshold, noise, grid, PRIOR
+            )
+        # the start clips at the grid floor, so p_min > 0 grids need no restart
+        assert not res.restarted.any()
+
+    @pytest.mark.parametrize("pct", FIG5_LOADS)
+    def test_figure5_rows_match_scalar_descent(self, pct):
+        spec, gains = figure5_spec(pct)
+        res = sncpc_response(
+            gains, spec.sinr_threshold, spec.noise_power, spec.grid, spec.prior,
+            spec.sncpc_max_iter,
+        )
+        # the slowest rows are the near-singular tail; add a spread of others
+        order = np.argsort(res.iterations, kind="stable")
+        rows = np.concatenate([order[-3:], order[:: len(order) // 5]])
+        assert_matches_scalar_descent(
+            res, rows, gains, spec.sinr_threshold, spec.noise_power, spec.grid,
+            spec.prior,
+        )
+
+    @pytest.mark.parametrize("pct", FIG5_LOADS)
+    def test_start_bounds_figure5_fixed_points(self, pct):
+        spec, gains = figure5_spec(pct)
+        start = batch._sncpc_start(
+            gains * gains, spec.sinr_threshold, spec.noise_power,
+            spec.grid.as_array(), spec.prior.lam,
+        )
+        res = sncpc_response(
+            gains, spec.sinr_threshold, spec.noise_power, spec.grid, spec.prior,
+            spec.sncpc_max_iter,
+        )
+        assert (start >= res.powers).all()
+        assert not res.restarted.any()
+        assert res.converged.all()
+
+    @pytest.mark.parametrize("pct", (20, 50, 80))
+    def test_forced_restart_changes_nothing(self, pct, monkeypatch):
+        spec, gains = figure5_spec(pct)
+        args = (gains, spec.sinr_threshold, spec.noise_power, spec.grid, spec.prior)
+        res = sncpc_response(*args, spec.sncpc_max_iter)
+        monkeypatch.setattr(
+            batch, "_sncpc_start", lambda g2, *_: np.full(g2.shape, spec.grid.p_min)
+        )
+        low = sncpc_response(*args, spec.sncpc_max_iter)
+        # from the grid floor every node rises, so every trial restarts
+        assert low.restarted.all()
+        np.testing.assert_array_equal(low.powers, res.powers)
+        np.testing.assert_array_equal(low.feasible, res.feasible)
+        np.testing.assert_array_equal(low.converged, res.converged)
+        # a restarted trial counts only its sweeps from all-p_max
+        for row in (np.argmin(low.iterations), np.argmax(low.iterations)):
+            ref = sncpc_solve(
+                common_target_network(
+                    gains[row], spec.sinr_threshold, spec.noise_power
+                ),
+                spec.grid, spec.prior, spec.sncpc_max_iter,
+            )
+            assert low.iterations[row] == ref.iterations

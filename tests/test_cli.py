@@ -1,6 +1,7 @@
 """End-to-end command behaviour: arguments, exit codes, CSV artifacts."""
 import pytest
 
+from epipower import cli
 from epipower.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 
 FAST_SWEEP = """
@@ -240,6 +241,29 @@ class TestFigure:
         )
         assert code == EXIT_USAGE
         assert "config error" in err and "epa_level_linear" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "figure, sweep, key",
+        [
+            (5, "interference_pct = 50, 0\npolicies = SNCPC", "interference_pct"),
+            (3, "gains_linear = 0.5, 0\nthresholds_db = -24", "gains_linear"),
+            (3, "gains_linear = 0.5\nthresholds_db = -4000", "thresholds_db"),
+        ],
+    )
+    def test_invalid_sweep_point_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, figure, sweep, key
+    ):
+        # the whole sweep is checked before its first point runs
+        monkeypatch.setattr(cli, "sweep", None)
+        path = tmp_path / "cfg.ini"
+        path.write_text(FAST_SWEEP + f"[sweep]\n{sweep}\n")
+        out_csv = tmp_path / "fig.csv"
+        code, _, err = run(
+            capsys, "figure", str(figure), "--config", str(path), "--out", str(out_csv)
+        )
+        assert code == EXIT_USAGE
+        assert "config error: [sweep] " + key in err
         assert not out_csv.exists()
 
     def test_print_defaults(self, capsys):

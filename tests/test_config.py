@@ -95,6 +95,29 @@ class TestFileOverrides:
             with pytest.raises(ConfigError, match=f"^sweep needs {keys}$"):
                 load_run_config(figure, path=path, env={})
 
+    @pytest.mark.parametrize(
+        "figure, text, key",
+        [
+            (5, "interference_pct = 0", "interference_pct"),
+            (5, "interference_pct = 50, 0", "interference_pct"),
+            (5, "interference_pct = 150", "interference_pct"),
+            (3, "gains_linear = 0", "gains_linear"),
+            # 10**(-4000/10) underflows to a zero target
+            (3, "thresholds_db = -24, -4000", "thresholds_db"),
+        ],
+    )
+    def test_sweep_value_making_a_point_invalid_rejected(
+        self, tmp_path, figure, text, key
+    ):
+        path = write(tmp_path, f"[sweep]\n{text}\n")
+        with pytest.raises(ConfigError, match=rf"^\[sweep\] {key} value "):
+            load_run_config(figure, path=path, env={})
+
+    def test_sncpc_sweep_cap_must_be_positive(self, tmp_path):
+        path = write(tmp_path, "[baselines]\nsncpc_max_iter = 0\n")
+        with pytest.raises(ConfigError, match="sncpc_max_iter must be at least 1"):
+            load_run_config(5, path=path, env={})
+
     def test_epa_level_must_be_a_grid_level(self, tmp_path):
         # the default 1.0 W is twice p_max on this grid
         text = "[grid]\nlevels = 11\np_max_linear = 0.5\n[sweep]\npolicies = EPA, M1\n"

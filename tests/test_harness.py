@@ -61,6 +61,13 @@ class TestSpecValidation:
         assert population_spec(epa_level=0.25).epa_level == 0.25
         assert population_spec(epa_level=1.0).epa_level == 1.0
 
+    def test_sncpc_sweep_cap_must_be_positive(self):
+        # with no sweep every trial would report its untouched start
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="sncpc_max_iter"):
+                population_spec(solver="sncpc", sncpc_max_iter=cap)
+        assert population_spec(sncpc_max_iter=1).sncpc_max_iter == 1
+
     def test_zero_active_rejected(self):
         with pytest.raises(ValueError, match="no transmitters"):
             population_spec(interference_fraction=0.0)
