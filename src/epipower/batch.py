@@ -18,14 +18,13 @@ grid indices; tests assert that equality.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EpistemicPolicy
+from .engine import EpistemicPolicy, inter_slope, intra_slope
 from .game import PowerGrid, select_lowest_feasible_batch
-from .moments import RayleighPrior, int_power, inverse_moment_value, kth_root
+from .moments import RayleighPrior, int_power, inverse_moment_value
 
 __all__ = [
     "BatchEpistemicResult",
@@ -87,7 +86,6 @@ def epistemic_response(
     k = policy.moment_order
     trunc = policy.truncation
     lam = prior.lam
-    scale = math.factorial(k) / lam**k
     g2 = gains * gains
 
     n_rival_others = n_active - 2  # interferers in a simulated rival's test
@@ -123,9 +121,8 @@ def epistemic_response(
                     alpha, theta, eta_rival, k, trunc
                 )
             pos = series_r > 0.0
-            slope_r = np.where(
-                pos, kth_root(scale * np.where(pos, series_r, 1.0), k), 0.0
-            )
+            slope_r = inter_slope(k, lam, np.where(pos, series_r, 1.0))
+            slope_r = np.where(pos, slope_r, 0.0)
             idx_e = select_lowest_feasible_batch(levels, slope_r, sinr_threshold)
             e_new = levels[idx_e]  # index -1 (infeasible) is the last level, p_max
 
@@ -135,7 +132,7 @@ def epistemic_response(
                 alpha, theta, noise_power, k, trunc
             )
         pos = series_o > 0.0
-        slope_o = np.where(pos, g2r * kth_root(np.where(pos, series_o, 1.0), k), 0.0)
+        slope_o = np.where(pos, intra_slope(k, g2r, np.where(pos, series_o, 1.0)), 0.0)
         idx_p = select_lowest_feasible_batch(levels, slope_o, sinr_threshold)
         p_new = levels[idx_p]
 

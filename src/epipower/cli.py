@@ -118,14 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit_gamma(args) -> int:
-    if args.rate is not None:
-        lam = args.rate
-    elif args.sigma is not None:
-        lam = RayleighPrior(sigma=args.sigma).lam
-    else:
-        lam = 0.5
     try:
+        if args.rate is not None:
+            lam = args.rate
+        elif args.sigma is not None:
+            lam = RayleighPrior(sigma=args.sigma).lam
+        else:
+            lam = 0.5
         model = fit_gamma_mme(args.powers, lam=lam, eta=args.eta)
+        if args.eta > 0.0:
+            sv = inverse_shifted_moment(model, args.moment, args.truncation)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -134,7 +136,6 @@ def _cmd_fit_gamma(args) -> int:
     print(f"mean      = {_fmt(model.mean)}")
     print(f"variance  = {_fmt(model.variance)}")
     if args.eta > 0.0:
-        sv = inverse_shifted_moment(model, k=args.moment, truncation=args.truncation)
         print(
             f"E[1/(Y+eta)^{args.moment}] = {_fmt(sv.value)} "
             f"(terms={sv.terms_used}, {sv.status})"
@@ -173,10 +174,15 @@ def _print_profile(network: NetworkState, powers, feasible) -> None:
 def _cmd_solve(args) -> int:
     try:
         network, grid = _build_network(args)
+        prior = RayleighPrior(sigma=args.sigma)
+        policy = EpistemicPolicy(
+            moment_order=args.moment_order, truncation=args.truncation
+        )
+        if args.max_stages < 1:
+            raise ValueError(f"--max-stages must be at least 1, got {args.max_stages}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    prior = RayleighPrior(sigma=args.sigma)
 
     if args.scheme == "nash":
         try:
@@ -191,9 +197,6 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
 
     if args.scheme == "epistemic":
-        policy = EpistemicPolicy(
-            moment_order=args.moment_order, truncation=args.truncation
-        )
         outcome = run_epistemic_game(
             network,
             grid,

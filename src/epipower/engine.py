@@ -23,7 +23,6 @@ from typing import Sequence
 from .game import NetworkState, PowerGrid
 from .moments import (
     RayleighPrior,
-    SeriesValue,
     fit_interference,
     int_power,
     inverse_shifted_moment,
@@ -32,7 +31,6 @@ from .moments import (
 
 __all__ = [
     "EpistemicPolicy",
-    "UpdateRecord",
     "NodeOutcome",
     "GameOutcome",
     "NodeEngine",
@@ -40,13 +38,6 @@ __all__ = [
     "intra_slope",
     "run_epistemic_game",
 ]
-
-ROLE_RIVAL = "rival-belief"
-ROLE_SELF = "self-power"
-
-FLAG_NEGATIVE_CLAMPED = "negative-moment-clamped"
-FLAG_INFEASIBLE = "no-feasible-level"
-
 
 @dataclass(frozen=True)
 class EpistemicPolicy:
@@ -83,22 +74,6 @@ def intra_slope(k: int, gain_sq: float, series_value: float) -> float:
 
 
 @dataclass(frozen=True)
-class UpdateRecord:
-    """One belief or own-power update inside a sweep."""
-
-    stage: int
-    role: str
-    target: int
-    eta: float
-    slope: float
-    evidence: float
-    feasible: bool
-    evaluations: int
-    n_hypotheses: int
-    flags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class NodeOutcome:
     """Terminal state of one node's local reasoning."""
 
@@ -109,7 +84,6 @@ class NodeOutcome:
     stages_run: int
     eu_evaluations: int
     believed_powers: tuple[tuple[int, float], ...]
-    updates: tuple[UpdateRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -161,63 +135,39 @@ class NodeEngine:
         self.policy = policy
         self.exhaustive = exhaustive
         self.eu_evaluations = 0
-        self.updates: list[UpdateRecord] = []
         self.own_power = grid.p_max
         self.own_feasible = True
         self.believed = {i: grid.p_max for i, _ in self.rivals}
 
     # -- statistic plumbing -------------------------------------------------
 
-    def _series(self, powers: list[float], eta: float) -> SeriesValue:
+    def _series(self, powers: list[float], eta: float) -> float:
         k = self.policy.moment_order
         model = fit_interference(powers, self.prior.lam, eta)
         if model is None:
-            return SeriesValue(value=1.0 / int_power(eta, k), terms_used=0, status="ok")
-        return inverse_shifted_moment(model, k, self.policy.truncation)
+            return 1.0 / int_power(eta, k)
+        return inverse_shifted_moment(model, k, self.policy.truncation).value
 
-    def _select(self, slope: float, threshold: float) -> tuple[int | None, int]:
-        """Lowest feasible grid index for statistic slope*p, plus evaluation count."""
+    def _update(self, slope: float, threshold: float) -> tuple[float, bool]:
+        """Lowest level p with slope*p >= threshold and True; (p_max, False) if none.
+
+        Adds the update's statistic evaluations to ``eu_evaluations``.
+        """
         levels = self.grid.levels
         if self.exhaustive:
-            chosen = None
-            for idx, level in enumerate(levels):
-                if chosen is None and slope * level >= threshold:
-                    chosen = idx
-            return chosen, len(levels)
-        idx = self.grid.select_lowest_feasible(slope, threshold)
-        probes = max(1, math.ceil(math.log2(len(levels)))) + 1
-        return idx, probes
-
-    def _update(
-        self, stage: int, role: str, target: int, slope: float,
-        threshold: float, eta: float, flags: tuple[str, ...],
-    ) -> tuple[float, bool]:
-        idx, evals = self._select(slope, threshold)
-        self.eu_evaluations += evals
-        if idx is None:
-            power, feasible = self.grid.p_max, False
-            flags = flags + (FLAG_INFEASIBLE,)
+            passing = [i for i, p in enumerate(levels) if slope * p >= threshold]
+            idx = passing[0] if passing else None
+            self.eu_evaluations += len(levels)
         else:
-            power, feasible = self.grid.levels[idx], True
-        self.updates.append(
-            UpdateRecord(
-                stage=stage,
-                role=role,
-                target=target,
-                eta=eta,
-                slope=slope,
-                evidence=power,
-                feasible=feasible,
-                evaluations=evals,
-                n_hypotheses=len(self.grid),
-                flags=flags,
-            )
-        )
-        return power, feasible
+            idx = self.grid.select_lowest_feasible(slope, threshold)
+            self.eu_evaluations += max(1, math.ceil(math.log2(len(levels)))) + 1
+        if idx is None:
+            return self.grid.p_max, False
+        return levels[idx], True
 
     # -- sweep --------------------------------------------------------------
 
-    def step(self, stage: int) -> bool:
+    def step(self) -> bool:
         """Run one sweep; returns True if any belief or the own power moved."""
         entry_beliefs = dict(self.believed)
         entry_own = self.own_power
@@ -226,41 +176,23 @@ class NodeEngine:
 
         # rival pass: simulate each rival's feasibility test against the
         # sweep-entry state; this node's own contribution enters as the
-        # known-gain shift, everyone else through the fitted model
+        # known-gain shift, everyone else through the fitted model.  A
+        # series value that is not positive clamps the slope to 0, so no
+        # level passes
         eta_rival = self.gain_sq * entry_own + self.noise_power
         new_beliefs: dict[int, float] = {}
         for rid, rthr in self.rivals:
             others = [entry_beliefs[m] for m, _ in self.rivals if m != rid]
-            series = self._series(others, eta_rival)
-            flags: tuple[str, ...] = ()
-            if series.status != "ok":
-                flags = (series.status,)
-            if series.value <= 0.0:
-                slope = 0.0
-                flags = flags + (FLAG_NEGATIVE_CLAMPED,)
-            else:
-                slope = inter_slope(k, lam, series.value)
-            power, _ = self._update(
-                stage, ROLE_RIVAL, rid, slope, rthr, eta_rival, flags
-            )
-            new_beliefs[rid] = power
+            value = self._series(others, eta_rival)
+            slope = 0.0 if value <= 0.0 else inter_slope(k, lam, value)
+            new_beliefs[rid], _ = self._update(slope, rthr)
         self.believed = new_beliefs
 
         # own pass: re-pick own power against the refreshed beliefs
         own_interferers = [self.believed[m] for m, _ in self.rivals]
-        series = self._series(own_interferers, self.noise_power)
-        flags = ()
-        if series.status != "ok":
-            flags = (series.status,)
-        if series.value <= 0.0:
-            slope = 0.0
-            flags = flags + (FLAG_NEGATIVE_CLAMPED,)
-        else:
-            slope = intra_slope(k, self.gain_sq, series.value)
-        self.own_power, self.own_feasible = self._update(
-            stage, ROLE_SELF, self.node_id, slope, self.sinr_threshold,
-            self.noise_power, flags,
-        )
+        value = self._series(own_interferers, self.noise_power)
+        slope = 0.0 if value <= 0.0 else intra_slope(k, self.gain_sq, value)
+        self.own_power, self.own_feasible = self._update(slope, self.sinr_threshold)
         return self.believed != entry_beliefs or self.own_power != entry_own
 
     def run(self, max_stages: int) -> NodeOutcome:
@@ -269,7 +201,7 @@ class NodeEngine:
         converged = False
         stages_run = 0
         for stage in range(1, max_stages + 1):
-            changed = self.step(stage)
+            changed = self.step()
             stages_run = stage
             if not changed:
                 converged = True
@@ -282,7 +214,6 @@ class NodeEngine:
             stages_run=stages_run,
             eu_evaluations=self.eu_evaluations,
             believed_powers=tuple(sorted(self.believed.items())),
-            updates=tuple(self.updates),
         )
 
 

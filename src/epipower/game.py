@@ -235,17 +235,12 @@ def best_response_full_csi(
 class NonConvergenceError(RuntimeError):
     """Best-response iteration hit its round cap without a fixed point."""
 
-    def __init__(self, message: str, trace: list[tuple[float, ...]]):
-        super().__init__(message)
-        self.trace = trace
-
 
 @dataclass(frozen=True)
 class NashResult:
     powers: tuple[float, ...]
     feasible: tuple[bool, ...]
     rounds: int
-    trace: tuple[tuple[float, ...], ...]
 
 
 def solve_nash_full_csi(
@@ -262,12 +257,11 @@ def solve_nash_full_csi(
     on the grid in finitely many rounds; simultaneous updates, by
     contrast, can orbit a fixed point in a two-cycle.  An unchanged full
     sweep is a fixed point of every single-node best response, i.e. a
-    Nash equilibrium of the grid game.  Raises NonConvergenceError (with
-    the visited trace attached) if no fixed point appears in max_rounds.
+    Nash equilibrium of the grid game.  Raises NonConvergenceError if no
+    fixed point appears in max_rounds.
     """
     n = len(network)
     profile = [grid.p_min] * n
-    trace: list[tuple[float, ...]] = [tuple(profile)]
     feasible = [True] * n
     for rounds in range(1, max_rounds + 1):
         changed = False
@@ -277,16 +271,10 @@ def solve_nash_full_csi(
                 changed = True
             profile[i] = response.power
             feasible[i] = response.feasible
-        trace.append(tuple(profile))
         if not changed:
-            return NashResult(
-                powers=tuple(profile),
-                feasible=tuple(feasible),
-                rounds=rounds,
-                trace=tuple(trace),
-            )
+            return NashResult(tuple(profile), tuple(feasible), rounds)
     raise NonConvergenceError(
-        f"no best-response fixed point within {max_rounds} rounds", trace
+        f"no best-response fixed point within {max_rounds} rounds"
     )
 
 

@@ -108,10 +108,6 @@ class ScenarioSpec:
             )
 
     @property
-    def conditioned(self) -> bool:
-        return self.conditioned_gain is not None
-
-    @property
     def active_count(self) -> int:
         """Number of simultaneous transmitters in every trial."""
         drawn = math.ceil(self.interference_fraction * self.n_nodes)

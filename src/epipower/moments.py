@@ -51,35 +51,19 @@ class RayleighPrior:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "lam", 1.0 / (2.0 * self.sigma * self.sigma))
 
-    @classmethod
-    def from_rate(cls, lam: float) -> "RayleighPrior":
-        if not lam > 0.0:
-            raise ValueError(f"lam must be positive, got {lam}")
-        obj = cls(sigma=math.sqrt(1.0 / (2.0 * lam)))
-        # keep the requested rate exact; sigma*sigma can be off by one ulp
-        object.__setattr__(obj, "lam", float(lam))
-        return obj
-
-    @property
-    def mean_square_gain(self) -> float:
-        """E[|g|^2] = 1/lam."""
-        return 1.0 / self.lam
-
 
 @dataclass(frozen=True)
 class GammaInterferenceModel:
     """Gamma(alpha_hat, theta_hat) surrogate for shifted aggregate interference Y + eta.
 
-    ``powers`` records the fitted power vector (may be empty for
-    hand-built models), ``lam`` the exponential rate of the gain prior
-    and ``eta`` the deterministic shift added to Y wherever the model is
-    consumed (own received power plus noise, or noise alone).
+    ``lam`` is the exponential rate of the gain prior and ``eta`` the
+    deterministic shift added to Y wherever the model is consumed (own
+    received power plus noise, or noise alone).
     """
 
     alpha_hat: float
     theta_hat: float
     lam: float
-    powers: tuple[float, ...] = ()
     eta: float = 0.0
 
     def __post_init__(self) -> None:
@@ -101,13 +85,7 @@ class GammaInterferenceModel:
         return self.alpha_hat * self.theta_hat * self.theta_hat
 
     def with_eta(self, eta: float) -> "GammaInterferenceModel":
-        return GammaInterferenceModel(
-            alpha_hat=self.alpha_hat,
-            theta_hat=self.theta_hat,
-            lam=self.lam,
-            powers=self.powers,
-            eta=eta,
-        )
+        return GammaInterferenceModel(self.alpha_hat, self.theta_hat, self.lam, eta)
 
 
 def fit_gamma_mme(
@@ -140,9 +118,7 @@ def fit_gamma_mme(
     sum_sq = math.fsum(p * p for p in vec)
     alpha = sum_p * sum_p / sum_sq
     theta = sum_sq / (lam * sum_p)
-    return GammaInterferenceModel(
-        alpha_hat=alpha, theta_hat=theta, lam=lam, powers=tuple(vec), eta=eta
-    )
+    return GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, lam=lam, eta=eta)
 
 
 def fit_interference(
@@ -193,9 +169,6 @@ class SeriesValue:
     value: float
     terms_used: int
     status: str
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def int_power(x, k: int):

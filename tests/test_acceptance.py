@@ -18,7 +18,7 @@ from scipy import special
 
 from epipower.cli import EXIT_OK, main as cli_main
 from epipower.config import load_run_config
-from epipower.engine import EpistemicPolicy, run_epistemic_game
+from epipower.engine import EpistemicPolicy, NodeEngine, run_epistemic_game
 from epipower.game import (
     NetworkState,
     NodeConfig,
@@ -37,6 +37,11 @@ THRESHOLDS_DB = (-30.0, -27.0, -24.0, -21.0, -18.0)
 PCTS = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)
 HIGH_LOAD = (50.0, 60.0, 70.0, 80.0, 90.0)
 MOMENT_POLICIES = ("M1", "M2", "M3", "M4")
+
+# belief games of the criterion 5d/5e oracle instances
+SMALL_PRIOR = RayleighPrior(sigma=1.0)
+SMALL_POLICY = EpistemicPolicy(moment_order=1, truncation=4)
+SMALL_STAGES = 8
 
 C5_TIMES: dict[str, float] = {}
 
@@ -70,8 +75,6 @@ def small_instances():
     solved by both the bisection selector and the exhaustive scan."""
     t0 = time.monotonic()
     rng = np.random.default_rng(515)
-    prior = RayleighPrior(sigma=1.0)
-    policy = EpistemicPolicy(moment_order=1, truncation=4)
     instances = []
     for n in (1, 2, 3):
         for s in range(2, 8):
@@ -86,14 +89,16 @@ def small_instances():
                 )
                 network = NetworkState(nodes=nodes, noise_power=0.5)
                 grid = PowerGrid.linear(s, float(rng.uniform(2.0, 10.0)))
-                fast = run_epistemic_game(
-                    network, grid, policy, prior, max_stages=8
-                )
-                slow = run_epistemic_game(
-                    network, grid, policy, prior, max_stages=8, exhaustive=True
+                fast, slow = (
+                    run_epistemic_game(
+                        network, grid, SMALL_POLICY, SMALL_PRIOR,
+                        max_stages=SMALL_STAGES, exhaustive=exhaustive,
+                    )
+                    for exhaustive in (False, True)
                 )
                 instances.append(
-                    {"n": n, "s": s, "fast": fast, "exhaustive": slow}
+                    {"n": n, "s": s, "network": network, "grid": grid,
+                     "fast": fast, "exhaustive": slow}
                 )
     C5_TIMES["instances"] = time.monotonic() - t0
     return instances
@@ -281,9 +286,30 @@ def test_criterion_5d_bisection_equals_exhaustive(small_instances):
         assert fast.profile == slow.profile
         for nf, ns in zip(fast.nodes, slow.nodes):
             assert nf.believed_powers == ns.believed_powers
-            assert [r.evidence for r in nf.updates] == [
-                r.evidence for r in ns.updates
+        # every selection: step a bisecting and an exhaustive engine per
+        # node together and compare each believed and own power per sweep
+        network = inst["network"]
+        for node in network.nodes:
+            rivals = [
+                (o.node_id, o.sinr_threshold)
+                for o in network.nodes
+                if o.node_id != node.node_id
             ]
+            pair = [
+                NodeEngine(
+                    node.node_id, node.gain, node.sinr_threshold, rivals,
+                    SMALL_PRIOR, network.noise_power, inst["grid"],
+                    SMALL_POLICY, exhaustive=exhaustive,
+                )
+                for exhaustive in (False, True)
+            ]
+            for _ in range(SMALL_STAGES):
+                moved = [eng.step() for eng in pair]
+                assert moved[0] == moved[1]
+                assert pair[0].believed == pair[1].believed
+                assert pair[0].own_power == pair[1].own_power
+                if not moved[0]:
+                    break
     C5_TIMES["d"] = time.monotonic() - t0
     note(
         f"criterion 5d: PASS: selections identical on {len(small_instances)} "

@@ -6,7 +6,7 @@ from epipower.baselines import epa_profile, sncpc_solve
 from epipower.game import NetworkState, NodeConfig, PowerGrid
 from epipower.moments import RayleighPrior
 
-PRIOR = RayleighPrior.from_rate(0.5)
+PRIOR = RayleighPrior(sigma=1.0)  # lam = 0.5 exactly
 GRID = PowerGrid.linear(21, 2.0)
 
 

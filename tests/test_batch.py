@@ -83,10 +83,10 @@ class TestBatchSelector:
             with np.errstate(invalid="ignore"):
                 got = select_lowest_feasible_batch(grid.as_array(), slopes, threshold)
                 scalar = [scalar_index(grid, float(s), threshold) for s in slopes]
-            scan = [node._select(float(s), threshold)[0] for s in slopes]
+            scan = [node._update(float(s), threshold) for s in slopes]
             assert got.tolist() == want
             assert scalar == want
-            assert [-1 if i is None else i for i in scan] == want
+            assert [grid.index_of(p) if ok else -1 for p, ok in scan] == want
         # slope +inf meets the target at level 1: inf * 0.0 at level 0 is NaN
         assert got.tolist() == [-1, -1, -1, -1, -1, 1, 1, -1]
         # a 0-d slope gives a 0-d index, as the scalar selector would

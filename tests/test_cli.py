@@ -1,4 +1,7 @@
 """End-to-end command behaviour: arguments, exit codes, CSV artifacts."""
+import shlex
+from pathlib import Path
+
 import pytest
 
 from epipower import cli
@@ -16,10 +19,72 @@ max_stages = 4
 """
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+TWO_NODES = ("--gains", "1,0.5", "--thresholds-db=-10,-10", "--noise-db", "0")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """(argv, stdout lines) of every `$ epipower ...` example in README.md."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    examples = []
+    i = 0
+    while i < len(lines):
+        if not lines[i].startswith("$ epipower "):
+            i += 1
+            continue
+        command = lines[i]
+        while command.endswith("\\"):
+            i += 1
+            command = command[:-1] + lines[i]
+        i += 1
+        expected = []
+        while i < len(lines) and lines[i] and not lines[i].startswith(("$", "```")):
+            expected.append(lines[i])
+            i += 1
+        examples.append((shlex.split(command)[2:], expected))
+    return examples
+
+
+def test_readme_transcripts_match(capsys):
+    examples = readme_examples()
+    assert [argv[:2] for argv, _ in examples] == [
+        ["fit-gamma", "--powers"],
+        ["solve", "nash"],
+        ["solve", "epistemic"],
+    ]
+    for argv, expected in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK, argv
+        assert out.splitlines() == expected, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "epistemic", *TWO_NODES, "--max-stages", "-1"),
+        ("solve", "epistemic", *TWO_NODES, "--moment-order", "0"),
+        ("solve", "epistemic", *TWO_NODES, "--truncation", "-1"),
+        ("solve", "epistemic", *TWO_NODES, "--sigma", "0"),
+        ("solve", "epistemic", *TWO_NODES, "--max-stages", "0"),
+        ("solve", "nash", *TWO_NODES, "--max-stages", "0"),
+        ("solve", "sncpc", *TWO_NODES, "--max-stages", "0"),
+        ("fit-gamma", "--powers", "1,2", "--eta", "1", "--moment", "0"),
+        ("fit-gamma", "--powers", "1,2", "--eta", "1", "--truncation", "-1"),
+    ],
+    ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
+)
+def test_bad_argument_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 class TestFitGamma:

@@ -35,18 +35,9 @@ class TestRayleighPrior:
         assert RayleighPrior(sigma=1.0).lam == 0.5
         assert RayleighPrior(sigma=0.5).lam == 2.0
 
-    def test_from_rate_is_exact(self):
-        for lam in (0.5, 0.3, 1.7, 123.456):
-            assert RayleighPrior.from_rate(lam).lam == lam
-
-    def test_mean_square_gain(self):
-        assert RayleighPrior(sigma=1.0).mean_square_gain == 2.0
-
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             RayleighPrior(sigma=0.0)
-        with pytest.raises(ValueError):
-            RayleighPrior.from_rate(-1.0)
 
 
 class TestGammaFit:
@@ -90,7 +81,7 @@ class TestGammaFit:
         m = fit_interference((0.0, 1.0, 0.0, 3.0), lam=1.0, eta=2.0)
         assert m is not None
         assert m.alpha_hat == 1.6
-        assert m.powers == (1.0, 3.0)
+        assert m.theta_hat == 2.5
         assert m.eta == 2.0
 
     def test_fit_interference_all_silent_is_none(self):
