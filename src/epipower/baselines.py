@@ -1,11 +1,15 @@
-"""Reference strategies the belief-driven scheme is judged against."""
+"""Reference strategies the belief-driven scheme is judged against.
+
+S-NCPC is the full-CSI Gauss–Seidel best-response sweep of ``game``
+played against the prior-mean gain; EPA is a fixed common level.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import NetworkState, PowerGrid
+from .game import NetworkState, PowerGrid, best_response_sweeps
 from .moments import RayleighPrior
 
 __all__ = ["epa_profile", "sncpc_solve", "SncpcResult"]
@@ -33,46 +37,17 @@ def sncpc_solve(
     prior: RayleighPrior,
     max_iter: int = 200,
 ) -> SncpcResult:
-    """All-p_max Gauss–Seidel descent for one network, the scalar reference.
+    """All-p_max S-NCPC descent for one network, the scalar reference.
 
-    Nodes exchange transmit powers but not gains; each one suppresses
-    the unknown interference by its prior mean and takes the cheapest
-    grid level meeting its own target (targets may differ per node).
-    Nodes update one at a time in index order from all-p_max, the
-    schedule ``batch.sncpc_response`` descends with; that kernel starts
-    from a closed-form profile instead and is checked against this loop.
+    Nodes exchange transmit powers but not gains, so each one puts every
+    rival gain at its prior mean: this is the full-CSI best-response
+    sweep (``game.best_response_sweeps``) with weights 1 and scale lam,
+    started from all-p_max (targets may differ per node).
+    ``batch.sncpc_response`` descends with the same schedule from a
+    closed-form profile instead and is checked against this loop.
     """
-    gains = np.asarray([n.gain for n in network.nodes])
-    levels = grid.as_array()
-    g2 = gains * gains
-    powers = np.full(len(network), grid.p_max)
-    feasible = np.ones(len(network), dtype=bool)
-    iterations = 0
-    converged = False
-    thr = np.asarray([n.sinr_threshold for n in network.nodes])
-    for it in range(1, max_iter + 1):
-        entry = powers.copy()
-        for i in range(len(network)):
-            mean_inter = (powers.sum() - powers[i]) / prior.lam
-            slope = g2[i] / (mean_inter + network.noise_power)
-            idx = int(np.searchsorted(slope * levels, thr[i], side="left"))
-            while idx > 0 and slope * levels[idx - 1] >= thr[i]:
-                idx -= 1
-            while idx < len(levels) and not slope * levels[idx] >= thr[i]:
-                idx += 1
-            if idx >= len(levels):
-                powers[i] = grid.p_max
-                feasible[i] = False
-            else:
-                powers[i] = levels[idx]
-                feasible[i] = True
-        iterations = it
-        if np.array_equal(powers, entry):
-            converged = True
-            break
-    return SncpcResult(
-        powers=tuple(float(p) for p in powers),
-        feasible=tuple(bool(f) for f in feasible),
-        converged=converged,
-        iterations=iterations,
+    start = np.full(len(network), grid.p_max)
+    powers, feasible, iterations, converged = best_response_sweeps(
+        network, grid, start, np.ones(len(network)), prior.lam, max_iter
     )
+    return SncpcResult(powers, feasible, converged, iterations)

@@ -7,7 +7,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -25,7 +24,7 @@ from .game import (
     sinr,
     solve_nash_full_csi,
 )
-from .harness import run_scenario, sweep
+from .harness import db_to_linear, run_scenario, sweep
 from .moments import (
     RayleighPrior,
     fit_gamma_mme,
@@ -42,10 +41,6 @@ def _float_list(text: str) -> list[float]:
         return [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}")
-
-
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def _fmt(x: float | str) -> str:
@@ -153,11 +148,11 @@ def _build_network(args) -> tuple[NetworkState, PowerGrid]:
         NodeConfig(
             node_id=i,
             gain=g,
-            sinr_threshold=_db_to_linear(t),
+            sinr_threshold=db_to_linear(t),
         )
         for i, (g, t) in enumerate(zip(args.gains, args.thresholds_db))
     )
-    network = NetworkState(nodes=nodes, noise_power=_db_to_linear(args.noise_db))
+    network = NetworkState(nodes=nodes, noise_power=db_to_linear(args.noise_db))
     grid = PowerGrid.linear(n_levels=args.grid_levels, p_max=args.p_max)
     return network, grid
 

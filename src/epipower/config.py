@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .engine import EpistemicPolicy
 from .game import PowerGrid
-from .harness import _AXES, POLICY_LABELS, ScenarioSpec
+from .harness import _AXES, POLICY_LABELS, ScenarioSpec, db_to_linear
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "figure_defaults"]
 
@@ -211,8 +211,8 @@ def load_run_config(
             ),
             n_nodes=scen["nodes"],
             rayleigh_sigma=scen["rayleigh_sigma"],
-            noise_power=10.0 ** (scen["noise_power_db"] / 10.0),
-            sinr_threshold=10.0 ** (scen["sinr_threshold_db"] / 10.0),
+            noise_power=db_to_linear(scen["noise_power_db"]),
+            sinr_threshold=db_to_linear(scen["sinr_threshold_db"]),
             interference_fraction=scen["interference_fraction"],
             solver=scen["solver"],
             policy=EpistemicPolicy(

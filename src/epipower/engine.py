@@ -118,8 +118,8 @@ class NodeEngine:
         policy: EpistemicPolicy,
         exhaustive: bool = False,
     ):
-        if gain < 0.0:
-            raise ValueError("gain must be nonnegative")
+        if not 0.0 <= gain < math.inf:
+            raise ValueError(f"gain must be finite and nonnegative, got {gain}")
         if not noise_power > 0.0:
             raise ValueError("noise_power must be positive")
         rival_ids = [r[0] for r in rivals]

@@ -2,15 +2,17 @@
 
 Each node transmits at a power drawn from a finite grid and wants the
 cheapest level whose SINR at the shared receiver clears its threshold.
-Utilities are lexicographic: feasibility first, then lower power.  The
-complete-information solver iterates synchronous best responses; an
-exhaustive deviation scan certifies the fixed point.
+Utilities are lexicographic: feasibility first, then lower power.  One
+Gauss–Seidel best-response sweep (Yates 1995) serves both comparators:
+the complete-information solver plays it against the rivals' true gains,
+and S-NCPC is the same sweep against the prior-mean gain.  An exhaustive
+deviation scan certifies the full-CSI fixed point.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,8 +22,7 @@ __all__ = [
     "NetworkState",
     "select_lowest_feasible_batch",
     "sinr",
-    "BestResponse",
-    "best_response_full_csi",
+    "best_response_sweeps",
     "solve_nash_full_csi",
     "NashResult",
     "nash_deviation_scan",
@@ -156,8 +157,8 @@ class NodeConfig:
     def __post_init__(self) -> None:
         if self.node_id < 0:
             raise ValueError("node_id must be nonnegative")
-        if self.gain < 0.0:
-            raise ValueError(f"gain must be nonnegative, got {self.gain}")
+        if not 0.0 <= self.gain < np.inf:
+            raise ValueError(f"gain must be finite and nonnegative, got {self.gain}")
         if not self.sinr_threshold > 0.0:
             raise ValueError(
                 f"sinr_threshold must be positive, got {self.sinr_threshold}"
@@ -202,36 +203,6 @@ def sinr(network: NetworkState, powers: Sequence[float], node_index: int) -> flo
     return float(received[node_index] / (interference + network.noise_power))
 
 
-class BestResponse(NamedTuple):
-    power: float
-    index: int
-    feasible: bool
-
-
-def best_response_full_csi(
-    network: NetworkState,
-    grid: PowerGrid,
-    powers: Sequence[float],
-    node_index: int,
-) -> BestResponse:
-    """Cheapest grid power meeting the node's SINR target given rivals' powers.
-
-    SINR is linear in own power (slope g^2 / (I + noise)), so the
-    bisection selector applies.  If even p_max falls short the node
-    transmits at p_max and is marked infeasible.
-    """
-    node = network.nodes[node_index]
-    g2 = network.gains_sq()
-    p = np.asarray(powers, dtype=np.float64)
-    received = g2 * p
-    interference = float(received.sum() - received[node_index])
-    slope = node.gain_sq / (interference + network.noise_power)
-    idx = grid.select_lowest_feasible(slope, node.sinr_threshold)
-    if idx is None:
-        return BestResponse(power=grid.p_max, index=len(grid) - 1, feasible=False)
-    return BestResponse(power=grid.levels[idx], index=idx, feasible=True)
-
-
 class NonConvergenceError(RuntimeError):
     """Best-response iteration hit its round cap without a fixed point."""
 
@@ -243,39 +214,68 @@ class NashResult:
     rounds: int
 
 
+def best_response_sweeps(
+    network: NetworkState, grid: PowerGrid, start: Sequence[float],
+    weights: np.ndarray, scale: float, max_rounds: int,
+) -> tuple[tuple[float, ...], tuple[bool, ...], int, bool]:
+    """Gauss–Seidel best-response sweeps; (powers, feasible, rounds, converged).
+
+    Node i assumes the interference sum_{j != i} weights_j p_j / scale and
+    takes the cheapest grid level whose SINR meets its target, or p_max,
+    marked infeasible, when none does.  Nodes update in id order, each
+    seeing the updates before it; an unchanged sweep is a fixed point.
+    Full CSI weighs rivals by their true squared gains (scale 1); S-NCPC
+    puts every rival gain at its prior mean (weights 1, scale lam).  The
+    inline selection is exact for the predicate slope*level >= threshold,
+    as ``select_lowest_feasible_batch`` is, at under half a 0-d call's cost.
+    """
+    g2 = network.gains_sq()
+    thr = [n.sinr_threshold for n in network.nodes]
+    levels = grid.as_array()
+    powers = np.array(start, dtype=np.float64)
+    wp = weights * powers
+    feasible = np.ones(len(network), dtype=bool)
+    rounds, converged = 0, False
+    while rounds < max_rounds and not converged:
+        rounds += 1
+        entry = powers.copy()
+        for i in range(len(network)):
+            slope = g2[i] / ((wp.sum() - wp[i]) / scale + network.noise_power)
+            idx = int(np.searchsorted(slope * levels, thr[i], side="left"))
+            while idx > 0 and slope * levels[idx - 1] >= thr[i]:
+                idx -= 1
+            while idx < len(levels) and not slope * levels[idx] >= thr[i]:
+                idx += 1
+            feasible[i] = idx < len(levels)
+            powers[i] = levels[idx] if feasible[i] else grid.p_max
+            wp[i] = weights[i] * powers[i]
+        converged = np.array_equal(powers, entry)
+    return tuple(powers.tolist()), tuple(feasible.tolist()), rounds, converged
+
+
 def solve_nash_full_csi(
     network: NetworkState,
     grid: PowerGrid,
     max_rounds: int = 200,
 ) -> NashResult:
-    """Sequential best-response sweeps from the all-lowest profile.
+    """Full-CSI best-response sweeps from the all-lowest profile.
 
-    Nodes update one at a time in id order, each seeing the already
-    updated powers of earlier nodes.  From the all-lowest start the
-    powers are nondecreasing (raising any power only raises everyone
-    else's interference, hence their requirement), so the sweep settles
-    on the grid in finitely many rounds; simultaneous updates, by
-    contrast, can orbit a fixed point in a two-cycle.  An unchanged full
-    sweep is a fixed point of every single-node best response, i.e. a
-    Nash equilibrium of the grid game.  Raises NonConvergenceError if no
-    fixed point appears in max_rounds.
+    From the all-lowest start the powers are nondecreasing (raising any
+    power only raises everyone else's interference, hence their
+    requirement), so the sweeps settle on the grid in finitely many
+    rounds; simultaneous updates, by contrast, can orbit a fixed point in
+    a two-cycle.  The fixed point is a Nash equilibrium of the grid game.
+    Raises NonConvergenceError if none appears in max_rounds.
     """
-    n = len(network)
-    profile = [grid.p_min] * n
-    feasible = [True] * n
-    for rounds in range(1, max_rounds + 1):
-        changed = False
-        for i in range(n):
-            response = best_response_full_csi(network, grid, profile, i)
-            if response.power != profile[i]:
-                changed = True
-            profile[i] = response.power
-            feasible[i] = response.feasible
-        if not changed:
-            return NashResult(tuple(profile), tuple(feasible), rounds)
-    raise NonConvergenceError(
-        f"no best-response fixed point within {max_rounds} rounds"
+    start = [grid.p_min] * len(network)
+    powers, feasible, rounds, converged = best_response_sweeps(
+        network, grid, start, network.gains_sq(), 1.0, max_rounds
     )
+    if not converged:
+        raise NonConvergenceError(
+            f"no best-response fixed point within {max_rounds} rounds"
+        )
+    return NashResult(powers, feasible, rounds)
 
 
 def nash_deviation_scan(

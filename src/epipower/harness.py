@@ -32,6 +32,7 @@ from .moments import RayleighPrior
 
 __all__ = [
     "CHUNK_TRIALS",
+    "db_to_linear",
     "ScenarioSpec",
     "ScenarioMetrics",
     "run_scenario",
@@ -73,8 +74,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be at least 1")
-        if not self.rayleigh_sigma > 0.0:
-            raise ValueError("rayleigh_sigma must be positive")
+        self.prior  # raises unless the gain rate 1/(2 sigma^2) is finite
         if not self.noise_power > 0.0:
             raise ValueError("noise_power must be positive")
         if not self.sinr_threshold > 0.0:
@@ -269,10 +269,21 @@ def policy_spec(base: ScenarioSpec, label: str) -> ScenarioSpec:
     raise ValueError(f"unknown policy label {label!r}")
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db/10); a dB value whose power is not finite is a ValueError."""
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not linear < math.inf:
+        raise ValueError(f"{db} dB is out of range")
+    return linear
+
+
 # swept CSV column -> how one value of it specialises a spec
 _AXES = {
     "gain": lambda spec, v: replace(spec, conditioned_gain=v),
-    "threshold_db": lambda spec, v: replace(spec, sinr_threshold=10.0 ** (v / 10.0)),
+    "threshold_db": lambda spec, v: replace(spec, sinr_threshold=db_to_linear(v)),
     "interference_pct": lambda spec, v: replace(spec, interference_fraction=v / 100.0),
     "policy": policy_spec,
 }

@@ -49,21 +49,23 @@ class RayleighPrior:
     def __post_init__(self) -> None:
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "lam", 1.0 / (2.0 * self.sigma * self.sigma))
+        two_var = 2.0 * self.sigma * self.sigma  # 0 or inf at extreme sigma
+        lam = 1.0 / two_var if two_var > 0.0 else math.inf
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"sigma {self.sigma} gives rate 1/(2 sigma^2) = {lam}")
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
 class GammaInterferenceModel:
     """Gamma(alpha_hat, theta_hat) surrogate for shifted aggregate interference Y + eta.
 
-    ``lam`` is the exponential rate of the gain prior and ``eta`` the
-    deterministic shift added to Y wherever the model is consumed (own
-    received power plus noise, or noise alone).
+    ``eta`` is the deterministic shift added to Y wherever the model is
+    consumed (own received power plus noise, or noise alone).
     """
 
     alpha_hat: float
     theta_hat: float
-    lam: float
     eta: float = 0.0
 
     def __post_init__(self) -> None:
@@ -71,10 +73,8 @@ class GammaInterferenceModel:
             raise ValueError(f"alpha_hat must be positive, got {self.alpha_hat}")
         if not self.theta_hat > 0.0:
             raise ValueError(f"theta_hat must be positive, got {self.theta_hat}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
 
     @property
     def mean(self) -> float:
@@ -85,7 +85,7 @@ class GammaInterferenceModel:
         return self.alpha_hat * self.theta_hat * self.theta_hat
 
     def with_eta(self, eta: float) -> "GammaInterferenceModel":
-        return GammaInterferenceModel(self.alpha_hat, self.theta_hat, self.lam, eta)
+        return GammaInterferenceModel(self.alpha_hat, self.theta_hat, eta)
 
 
 def fit_gamma_mme(
@@ -118,7 +118,7 @@ def fit_gamma_mme(
     sum_sq = math.fsum(p * p for p in vec)
     alpha = sum_p * sum_p / sum_sq
     theta = sum_sq / (lam * sum_p)
-    return GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, lam=lam, eta=eta)
+    return GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, eta=eta)
 
 
 def fit_interference(

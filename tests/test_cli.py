@@ -20,6 +20,7 @@ max_stages = 4
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TWO_NODES = ("--gains", "1,0.5", "--thresholds-db=-10,-10", "--noise-db", "0")
 
@@ -65,6 +66,18 @@ def test_readme_transcripts_match(capsys):
         assert out.splitlines() == expected, argv
 
 
+@pytest.mark.parametrize("scheme", ["nash", "sncpc"])
+def test_solve_transcripts_match_goldens(capsys, scheme):
+    # tests/golden/solve.sh wrote these: a run to convergence, then one
+    # capped at a single sweep (Nash fails, S-NCPC reports converged = False)
+    blocks = (GOLDEN / f"solve_{scheme}.txt").read_text().split("$ epipower ")
+    assert blocks[0] == "" and len(blocks) == 3
+    for block in blocks[1:]:
+        command, *expected = block.splitlines()
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (out + err).splitlines() + [f"exit {code}"] == expected, command
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -77,6 +90,18 @@ def test_readme_transcripts_match(capsys):
         ("solve", "sncpc", *TWO_NODES, "--max-stages", "0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "1", "--moment", "0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "1", "--truncation", "-1"),
+        # dB beyond float range, a gain rate that is not finite, NaN and inf
+        ("solve", "nash", "--gains", "1", "--thresholds-db", "4000"),
+        ("solve", "nash", "--gains", "1", "--thresholds-db", "0", "--noise-db", "4000"),
+        ("solve", "nash", "--gains", "1", "--thresholds-db", "inf"),
+        ("solve", "epistemic", "--gains", "1,1", "--thresholds-db", "0,0",
+         "--sigma", "1e-200"),
+        ("solve", "epistemic", "--gains", "1,1", "--thresholds-db", "0,0",
+         "--sigma", "1e200"),
+        ("solve", "epistemic", "--gains", "nan", "--thresholds-db", "0"),
+        ("solve", "nash", "--gains", "nan", "--thresholds-db", "0"),
+        ("solve", "sncpc", "--gains", "1,inf", "--thresholds-db", "0,0"),
+        ("fit-gamma", "--powers", "1,2", "--eta", "nan", "--moment", "1"),
     ],
     ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
 )
@@ -329,6 +354,34 @@ class TestFigure:
         )
         assert code == EXIT_USAGE
         assert "config error: [sweep] " + key in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "figure, section, setting",
+        [
+            (3, "scenario", "noise_power_db = 4000"),
+            (5, "scenario", "noise_power_db = 4000"),
+            (3, "scenario", "sinr_threshold_db = 4000"),
+            (5, "scenario", "sinr_threshold_db = 4000"),
+            (3, "scenario", "rayleigh_sigma = 1e-200"),
+            (5, "scenario", "rayleigh_sigma = 1e-200"),
+            (3, "sweep", "thresholds_db = 4000"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, figure, section, setting
+    ):
+        # rejected while the config loads, before the first point runs
+        monkeypatch.setattr(cli, "sweep", None)
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[{section}]\n{setting}\n")
+        out_csv = tmp_path / "fig.csv"
+        code, out, err = run(
+            capsys, "figure", str(figure), "--config", str(path), "--out", str(out_csv)
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert out == ""
         assert not out_csv.exists()
 
     def test_print_defaults(self, capsys):

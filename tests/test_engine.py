@@ -235,6 +235,9 @@ class TestEngineValidation:
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):
             engine(gain=-0.1)
+        for gain in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gain must be finite"):
+                engine(gain=gain)
         with pytest.raises(ValueError):
             NodeEngine(
                 node_id=0,

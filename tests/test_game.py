@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epipower.game import (
-    BestResponse,
     NetworkState,
     NodeConfig,
     NonConvergenceError,
     PowerGrid,
-    best_response_full_csi,
+    best_response_sweeps,
     nash_deviation_scan,
+    select_lowest_feasible_batch,
     sinr,
     solve_nash_full_csi,
 )
@@ -169,6 +169,9 @@ class TestNetworkGeometry:
             NodeConfig(0, -0.1, 0.5)
         with pytest.raises(ValueError):
             NodeConfig(0, 1.0, 0.0)
+        for gain in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="gain must be finite"):
+                NodeConfig(0, gain, 0.5)
         NodeConfig(0, 0.0, 0.5)  # dead channel is legal
         node = NodeConfig(0, 1.0, 0.5)
         with pytest.raises(ValueError):
@@ -184,12 +187,24 @@ class TestNetworkGeometry:
             )
 
 
+def full_csi_sweep(net, grid, start):
+    """One full-CSI sweep from ``start``: (powers, feasible).
+
+    Node 0 updates first, so its response sees the start profile."""
+    powers, feasible, rounds, _ = best_response_sweeps(
+        net, grid, start, net.gains_sq(), 1.0, max_rounds=1
+    )
+    assert rounds == 1
+    return powers, feasible
+
+
 class TestBestResponse:
     def test_lone_node(self):
         net = NetworkState(nodes=(NodeConfig(0, 1.0, 0.5),), noise_power=1.0)
         grid = PowerGrid.linear(11, 1.0)
-        br = best_response_full_csi(net, grid, (0.0,), 0)
-        assert br == BestResponse(power=0.5, index=5, feasible=True)
+        powers, feasible = full_csi_sweep(net, grid, (0.0,))
+        assert powers == (0.5,) and grid.index_of(powers[0]) == 5
+        assert feasible == (True,)
 
     def test_interference_raises_requirement(self):
         net = NetworkState(
@@ -197,18 +212,18 @@ class TestBestResponse:
             noise_power=1.0,
         )
         grid = PowerGrid.linear(21, 2.0)
-        quiet = best_response_full_csi(net, grid, (0.0, 0.0), 0)
-        loud = best_response_full_csi(net, grid, (0.0, 2.0), 0)
-        assert quiet.power == 0.5
-        assert loud.power == 1.5  # -> 0.5 * (2 + 1)
-        assert loud.feasible
+        quiet, _ = full_csi_sweep(net, grid, (0.0, 0.0))
+        loud, loud_feasible = full_csi_sweep(net, grid, (0.0, 2.0))
+        assert quiet[0] == 0.5
+        assert loud[0] == 1.5  # -> 0.5 * (2 + 1)
+        assert loud_feasible[0]
 
     def test_infeasible_falls_back_to_max(self):
         net = NetworkState(nodes=(NodeConfig(0, 0.1, 10.0),), noise_power=1.0)
         grid = PowerGrid.linear(11, 1.0)
-        br = best_response_full_csi(net, grid, (0.0,), 0)
-        assert br.power == grid.p_max
-        assert not br.feasible
+        powers, feasible = full_csi_sweep(net, grid, (0.0,))
+        assert powers[0] == grid.p_max
+        assert not feasible[0]
 
     def test_dead_channel_is_infeasible(self):
         net = NetworkState(
@@ -216,9 +231,9 @@ class TestBestResponse:
             noise_power=1.0,
         )
         grid = PowerGrid.linear(11, 1.0)
-        br = best_response_full_csi(net, grid, (0.0, 0.0), 1)
-        assert not br.feasible
-        assert br.power == grid.p_max
+        powers, feasible = full_csi_sweep(net, grid, (0.0, 0.0))
+        assert not feasible[1]
+        assert powers[1] == grid.p_max
 
     @given(
         rival=st.floats(min_value=0.0, max_value=5.0),
@@ -231,9 +246,9 @@ class TestBestResponse:
             noise_power=0.5,
         )
         grid = PowerGrid.linear(101, 10.0)
-        low = best_response_full_csi(net, grid, (0.0, rival), 0)
-        high = best_response_full_csi(net, grid, (0.0, rival + bump), 0)
-        assert high.index >= low.index
+        low, _ = full_csi_sweep(net, grid, (0.0, rival))
+        high, _ = full_csi_sweep(net, grid, (0.0, rival + bump))
+        assert high[0] >= low[0]
 
 
 class TestNashSolver:
@@ -328,3 +343,40 @@ class TestNashSolver:
         grid = PowerGrid.linear(41, 20.0)
         res = solve_nash_full_csi(net, grid)
         assert nash_deviation_scan(net, grid, res.powers) == []
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        p_min=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_profile_is_the_one_selectors_choice(self, seed, p_min):
+        # the sweep selects inline; every node of the returned profile must
+        # sit where select_lowest_feasible_batch puts it for its final slope
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        gains = rng.uniform(0.2, 2.0, n)
+        dead, huge = rng.choice(n, size=2, replace=False)
+        gains[dead] = 0.0
+        gains[huge] = 1e200  # squared gain overflows: slope +inf
+        thresholds = 10.0 ** rng.uniform(-2.0, 0.5, n)  # mixed targets
+        nodes = tuple(
+            NodeConfig(i, float(g), float(t))
+            for i, (g, t) in enumerate(zip(gains, thresholds))
+        )
+        net = NetworkState(nodes=nodes, noise_power=float(rng.uniform(0.01, 1.0)))
+        grid = PowerGrid.linear(
+            int(rng.integers(2, 60)), p_min + float(rng.uniform(1.0, 20.0)), p_min
+        )
+        levels = grid.as_array()
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve_nash_full_csi(net, grid, max_rounds=n * len(grid) + 1)
+            g2 = net.gains_sq()
+            wp = g2 * np.asarray(res.powers)
+            for i, node in enumerate(nodes):
+                slope = g2[i] / ((wp.sum() - wp[i]) + net.noise_power)
+                thr = node.sinr_threshold
+                idx = int(select_lowest_feasible_batch(levels, slope, thr))
+                if idx < 0:
+                    assert res.powers[i] == grid.p_max and not res.feasible[i]
+                else:
+                    assert res.powers[i] == levels[idx] and res.feasible[i]

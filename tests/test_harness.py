@@ -11,6 +11,7 @@ from epipower.harness import (
     CHUNK_TRIALS,
     POLICY_LABELS,
     ScenarioSpec,
+    db_to_linear,
     policy_spec,
     run_scenario,
     sweep,
@@ -52,6 +53,11 @@ class TestSpecValidation:
             population_spec(workers=0)
         with pytest.raises(ValueError):
             population_spec(conditioned_gain=0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-200, 1e200])
+    def test_sigma_must_give_a_finite_gain_rate(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            population_spec(rayleigh_sigma=sigma)
 
     def test_epa_level_must_be_a_grid_level(self):
         # SMALL_GRID steps by 0.01 up to 1.0
@@ -274,3 +280,14 @@ class TestSweeps:
             replace(base, conditioned_gain=1.0, sinr_threshold=1e-3)
         )
         assert rows[0]["metrics"] == direct
+
+
+class TestDbToLinear:
+    @pytest.mark.parametrize("db", [-4000.0, -120.0, -24.0, -5.23, 0.0, 3.0, 3080.0])
+    def test_same_bits_as_the_power_expression(self, db):
+        assert db_to_linear(db) == 10.0 ** (db / 10.0)
+
+    @pytest.mark.parametrize("db", [3090.0, 4000.0, 1e300, math.inf, math.nan])
+    def test_nonfinite_power_is_a_value_error(self, db):
+        with pytest.raises(ValueError, match="dB is out of range"):
+            db_to_linear(db)

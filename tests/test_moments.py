@@ -1,4 +1,5 @@
 """Gamma fit, central moments, and the shifted inverse-moment series."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,12 @@ class TestRayleighPrior:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             RayleighPrior(sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200, math.inf])
+    def test_rejects_sigma_whose_rate_is_not_finite(self, sigma):
+        # 2 sigma^2 underflows to 0 or overflows to inf
+        with pytest.raises(ValueError, match="rate"):
+            RayleighPrior(sigma=sigma)
 
 
 class TestGammaFit:
@@ -157,20 +164,20 @@ class TestMomentVectors:
 
 class TestInverseShiftedSeries:
     def test_frozen_fourth_order_value(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
+        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, eta=100.0)
         s = inverse_shifted_moment(m, 1, truncation=4)
         assert s.value == 0.009443711293177426
         assert s.terms_used == 4
         assert s.status == STATUS_OK
 
     def test_fourth_order_close_to_quadrature(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
+        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, eta=100.0)
         s = inverse_shifted_moment(m, 1, truncation=4)
         q = quadrature_inverse_moment(m, k=1)
         assert s.value == pytest.approx(q, rel=1e-6)
 
     def test_zeroth_order_is_inverse_mean(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
+        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, eta=100.0)
         s = inverse_shifted_moment(m, 1, truncation=0)
         assert s.value == 1.0 / 106.0
         assert s.terms_used == 0
@@ -178,7 +185,7 @@ class TestInverseShiftedSeries:
 
     def test_divergence_onset_truncates(self):
         # eta far below E[Y] with alpha near 1: the tail grows quickly
-        m = GammaInterferenceModel(alpha_hat=1.1, theta_hat=1.0, lam=1.0, eta=0.1)
+        m = GammaInterferenceModel(alpha_hat=1.1, theta_hat=1.0, eta=0.1)
         s = inverse_shifted_moment(m, 1, truncation=8)
         assert s.status == STATUS_TRUNCATED
         assert s.terms_used == 2
@@ -188,19 +195,19 @@ class TestInverseShiftedSeries:
         assert again.status == STATUS_OK
 
     def test_default_truncation(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
+        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, eta=100.0)
         assert inverse_shifted_moment(m, 1) == inverse_shifted_moment(
             m, 1, truncation=DEFAULT_TRUNCATION
         )
 
     def test_third_moment_against_quadrature(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
+        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, eta=100.0)
         s = inverse_shifted_moment(m, 3, truncation=4)
         q = quadrature_inverse_moment(m, k=3)
         assert s.value == pytest.approx(q, rel=2e-5)
 
     def test_rejects_bad_orders(self):
-        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, lam=1.0, eta=100.0)
+        m = GammaInterferenceModel(alpha_hat=3.0, theta_hat=2.0, eta=100.0)
         with pytest.raises(ValueError):
             inverse_shifted_moment(m, 0)
         with pytest.raises(ValueError):
@@ -217,7 +224,7 @@ class TestInverseShiftedSeries:
         self, alpha, theta, ratio, k
     ):
         eta = ratio * alpha * theta
-        m = GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, lam=1.0, eta=eta)
+        m = GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, eta=eta)
         s = inverse_shifted_moment(m, k, truncation=6)
         q = quadrature_inverse_moment(m, k=k)
         assert s.value == pytest.approx(q, rel=1e-4)
@@ -238,9 +245,9 @@ class TestInverseShiftedSeries:
         # estimate must shift by exactly 2^(-m k)
         c = 2.0**exponent
         eta = ratio * alpha * theta
-        base = GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, lam=1.0, eta=eta)
+        base = GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, eta=eta)
         scaled = GammaInterferenceModel(
-            alpha_hat=alpha, theta_hat=theta * c, lam=1.0, eta=eta * c
+            alpha_hat=alpha, theta_hat=theta * c, eta=eta * c
         )
         a = inverse_shifted_moment(base, k, truncation=4)
         b = inverse_shifted_moment(scaled, k, truncation=4)
@@ -274,7 +281,6 @@ class TestVectorisedKernel:
                 GammaInterferenceModel(
                     alpha_hat=float(alphas[i]),
                     theta_hat=float(thetas[i]),
-                    lam=1.0,
                     eta=float(etas[i]),
                 ),
                 2,
@@ -295,8 +301,13 @@ class TestVectorisedKernel:
 
     def test_model_requires_positive_parameters(self):
         with pytest.raises(ValueError):
-            GammaInterferenceModel(alpha_hat=0.0, theta_hat=1.0, lam=1.0)
+            GammaInterferenceModel(alpha_hat=0.0, theta_hat=1.0)
         with pytest.raises(ValueError):
-            GammaInterferenceModel(alpha_hat=1.0, theta_hat=-1.0, lam=1.0)
+            GammaInterferenceModel(alpha_hat=1.0, theta_hat=-1.0)
         with pytest.raises(ValueError):
-            GammaInterferenceModel(alpha_hat=1.0, theta_hat=1.0, lam=1.0, eta=-0.5)
+            GammaInterferenceModel(alpha_hat=1.0, theta_hat=1.0, eta=-0.5)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_model_rejects_nonfinite_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            GammaInterferenceModel(alpha_hat=1.0, theta_hat=1.0, eta=eta)

@@ -20,10 +20,8 @@ from epipower.oracles import (
 )
 
 
-def model(alpha, theta, eta, lam=1.0):
-    return GammaInterferenceModel(
-        alpha_hat=alpha, theta_hat=theta, lam=lam, eta=eta
-    )
+def model(alpha, theta, eta):
+    return GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, eta=eta)
 
 
 def test_quadrature_matches_exponential_closed_form():
