@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when a solver fails to converge or a Monte
-Carlo run exceeds its solver-failure budget, 2 on usage or config
-errors.
+Exit codes: 0 on success, 1 when a solver fails to converge, a Nash
+profile has a profitable deviation or a Monte Carlo run exceeds its
+solver-failure budget, 2 on usage or config errors.
 """
 from __future__ import annotations
 
@@ -98,12 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure", help="run one of the canned Monte Carlo sweeps")
     fig.add_argument("number", type=int, choices=[3, 4, 5, 6])
-    fig.add_argument("--out", required=True, help="CSV output path")
+    fig.add_argument("--out", help="CSV output path (required to run the sweep)")
     fig.add_argument("--config", default=None, help="INI file overriding defaults")
     fig.add_argument("--workers", type=int, default=None,
                      help="process count (overrides config)")
     fig.add_argument("--print-defaults", action="store_true",
-                     help="show the resolved defaults for this figure and exit")
+                     help="show every key this figure accepts with its default "
+                          "and exit")
 
     sub.add_parser("selftest", help="run a quick internal consistency battery")
     return parser
@@ -152,6 +153,9 @@ def _build_network(args) -> tuple[NetworkState, PowerGrid]:
         )
         for i, (g, t) in enumerate(zip(args.gains, args.thresholds_db))
     )
+    for node in nodes:
+        if node.gain_sq == np.inf:
+            raise ValueError(f"gain {node.gain:g}: its square is beyond float range")
     network = NetworkState(nodes=nodes, noise_power=db_to_linear(args.noise_db))
     grid = PowerGrid.linear(n_levels=args.grid_levels, p_max=args.p_max)
     return network, grid
@@ -189,7 +193,7 @@ def _cmd_solve(args) -> int:
         deviations = nash_deviation_scan(network, grid, result.powers)
         print(f"rounds = {result.rounds}")
         print(f"profitable_deviations = {len(deviations)}")
-        return EXIT_OK
+        return EXIT_SOLVER if deviations else EXIT_OK
 
     if args.scheme == "epistemic":
         outcome = run_epistemic_game(
@@ -255,6 +259,9 @@ def _cmd_figure(args) -> int:
                 print(f"{key} = {value}")
             print()
         return EXIT_OK
+    if args.out is None:
+        print("error: the following arguments are required: --out", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = load_run_config(
             args.number, path=args.config, workers_override=args.workers

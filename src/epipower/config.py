@@ -1,8 +1,11 @@
 """INI configuration for the simulation CLI.
 
 Keys carry their unit in the name (``_db`` or ``_linear``) so a config
-file can never be misread by a factor of ten.  Unknown sections or keys
-are hard errors: a typo must not silently fall back to a default.
+file can never be misread by a factor of ten.  Each figure accepts
+exactly the keys of its family's defaults table, and its CSV stamp lists
+exactly those: a key that a sweep axis sets at every point is in no
+table.  Unknown sections or keys are hard errors: a typo must not
+silently fall back to a default.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .engine import EpistemicPolicy
 from .game import PowerGrid
-from .harness import _AXES, POLICY_LABELS, ScenarioSpec, db_to_linear
+from .harness import _AXES, ScenarioSpec, db_to_linear
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "figure_defaults"]
 
@@ -21,38 +24,30 @@ class ConfigError(ValueError):
     """Malformed, unknown or out-of-range configuration input."""
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "scenario": {
-        "nodes": "int",
-        "rayleigh_sigma": "float",
-        "noise_power_db": "float",
-        "sinr_threshold_db": "float",
-        "interference_fraction": "float",
-        "conditioned_gain_linear": "float",
-        "trials": "int",
-        "seed": "int",
-        "workers": "int",
-        "solver": "str",
-    },
-    "grid": {
-        "levels": "int",
-        "p_max_linear": "float",
-    },
-    "policy": {
-        "moment_order": "int",
-        "truncation": "int",
-        "max_stages": "int",
-    },
-    "baselines": {
-        "epa_level_linear": "float",
-        "sncpc_max_iter": "int",
-    },
-    "sweep": {
-        "gains_linear": "floats",
-        "thresholds_db": "floats",
-        "interference_pct": "floats",
-        "policies": "strs",
-    },
+# INI key -> (value kind, the ScenarioSpec field it sets); key names are
+# unique across sections.  The [grid] and [policy] keys without a field
+# build the grid and the policy, the [sweep] keys build the axes.
+_KEYS: dict[str, tuple[str, str | None]] = {
+    "nodes": ("int", "n_nodes"),
+    "rayleigh_sigma": ("float", "rayleigh_sigma"),
+    "noise_power_db": ("float", "noise_power"),
+    "sinr_threshold_db": ("float", "sinr_threshold"),
+    "interference_fraction": ("float", "interference_fraction"),
+    "trials": ("int", "trials"),
+    "seed": ("int", "seed"),
+    "workers": ("int", "workers"),
+    "solver": ("str", "solver"),
+    "levels": ("int", None),
+    "p_max_linear": ("float", None),
+    "moment_order": ("int", None),
+    "truncation": ("int", None),
+    "max_stages": ("int", "max_stages"),
+    "epa_level_linear": ("float", "epa_level"),
+    "sncpc_max_iter": ("int", "sncpc_max_iter"),
+    "gains_linear": ("floats", None),
+    "thresholds_db": ("floats", None),
+    "interference_pct": ("floats", None),
+    "policies": ("strs", None),
 }
 
 _COMMON_DEFAULTS: dict[str, dict[str, str]] = {
@@ -61,34 +56,31 @@ _COMMON_DEFAULTS: dict[str, dict[str, str]] = {
         "rayleigh_sigma": "1.0",
         "noise_power_db": "-120.0",
         "trials": "10000",
+        "seed": "42",
         "workers": "1",
-        "solver": "epistemic",
     },
-    "policy": {"moment_order": "1", "truncation": "4"},
+    "grid": {"p_max_linear": "1.0"},
+    "policy": {"truncation": "4"},
     "baselines": {"epa_level_linear": "1.0", "sncpc_max_iter": "2000"},
 }
 
-# conditioned-node sweeps: everyone transmits, shallow reasoning
+# conditioned-node sweeps: everyone transmits, shallow reasoning; the axes
+# set the tracked node's gain and SINR target
 _CONDITIONED_DEFAULTS: dict[str, dict[str, str]] = {
-    "scenario": {
-        "interference_fraction": "1.0",
-        "sinr_threshold_db": "-24.0",
-    },
-    "grid": {"levels": "1001", "p_max_linear": "1.0"},
-    "policy": {"max_stages": "1"},
+    "scenario": {"interference_fraction": "1.0", "solver": "epistemic"},
+    "grid": {"levels": "1001"},
+    "policy": {"moment_order": "1", "max_stages": "1"},
     "sweep": {
         "gains_linear": "0.2, 0.5, 1.0",
         "thresholds_db": "-30, -27, -24, -21, -18",
     },
 }
 
-# population sweeps: finer grid, deeper reasoning, policy comparison
+# population sweeps: finer grid, deeper reasoning, policy comparison; the
+# axes set the load and the solver with its moment order
 _POPULATION_DEFAULTS: dict[str, dict[str, str]] = {
-    "scenario": {
-        "interference_fraction": "0.8",
-        "sinr_threshold_db": "-20.0",
-    },
-    "grid": {"levels": "10001", "p_max_linear": "1.0"},
+    "scenario": {"sinr_threshold_db": "-20.0"},
+    "grid": {"levels": "10001"},
     "policy": {"max_stages": "3"},
     "sweep": {
         "interference_pct": "20, 30, 40, 50, 60, 70, 80, 90",
@@ -110,7 +102,7 @@ _FIGURES = {
 
 
 def figure_defaults(figure: int) -> dict[str, dict[str, str]]:
-    """Raw default key/value table for one of the four figure numbers."""
+    """The keys one of the four figures accepts, with their raw defaults."""
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure {figure}; expected 3, 4, 5 or 6")
     merged: dict[str, dict[str, str]] = {
@@ -149,7 +141,7 @@ def _parse_value(kind: str, raw: str, where: str):
         raise ConfigError(f"bad value for {where}: {raw!r}") from exc
 
 
-def _merge_file(table: dict[str, dict[str, str]], path: str) -> None:
+def _merge_file(table: dict[str, dict[str, str]], path: str, figure: int) -> None:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -159,12 +151,14 @@ def _merge_file(table: dict[str, dict[str, str]], path: str) -> None:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in table:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            table.setdefault(section, {})[key] = value
+            if key not in table[section]:
+                raise ConfigError(
+                    f"unknown config key {key!r} in [{section}] for figure {figure}"
+                )
+            table[section][key] = value
 
 
 def load_run_config(
@@ -173,70 +167,52 @@ def load_run_config(
     env: dict[str, str] | None = None,
     workers_override: int | None = None,
 ) -> RunConfig:
-    """Resolve one figure run: defaults <- config file <- CLI overrides.
+    """Resolve one figure run: defaults <- SEED <- config file <- CLI overrides.
 
-    The SEED environment variable seeds the run when the config file
-    does not pin one; an explicit ``seed`` key always wins over it.
+    The SEED environment variable replaces the default seed, so an
+    explicit ``seed`` key in the config file always wins over it.
     """
     env = dict(os.environ) if env is None else env
     table = figure_defaults(figure)
-    if path is not None:
-        _merge_file(table, path)
-    # seed precedence: config file > SEED env var > builtin 42
-    scen_raw = table.setdefault("scenario", {})
-    if "seed" not in scen_raw and "SEED" in env:
+    if "SEED" in env:
         raw = env["SEED"]
         try:
             int(raw)
         except ValueError as exc:
             raise ConfigError(f"SEED environment variable not an int: {raw!r}") from exc
-        scen_raw["seed"] = raw
-    scen_raw.setdefault("seed", "42")
+        table["scenario"]["seed"] = raw
+    if path is not None:
+        _merge_file(table, path, figure)
     if workers_override is not None:
-        scen_raw["workers"] = str(workers_override)
+        table["scenario"]["workers"] = str(workers_override)
 
     typed = {
-        section: {
-            key: _parse_value(_SCHEMA[section][key], raw, f"[{section}] {key}")
-            for key, raw in kv.items()
-        }
+        key: _parse_value(_KEYS[key][0], raw, f"[{section}] {key}")
         for section, kv in table.items()
+        for key, raw in kv.items()
     }
-    scen, pol, base = typed["scenario"], typed["policy"], typed["baselines"]
     try:
+        # a field no key sets keeps ScenarioSpec's default, which an axis
+        # of the figure overrides at every point
+        fields = {
+            _KEYS[key][1]: db_to_linear(value) if key.endswith("_db") else value
+            for key, value in typed.items()
+            if _KEYS[key][1] is not None
+        }
         spec = ScenarioSpec(
             grid=PowerGrid.linear(
-                n_levels=typed["grid"]["levels"],
-                p_max=typed["grid"]["p_max_linear"],
+                n_levels=typed["levels"], p_max=typed["p_max_linear"]
             ),
-            n_nodes=scen["nodes"],
-            rayleigh_sigma=scen["rayleigh_sigma"],
-            noise_power=db_to_linear(scen["noise_power_db"]),
-            sinr_threshold=db_to_linear(scen["sinr_threshold_db"]),
-            interference_fraction=scen["interference_fraction"],
-            solver=scen["solver"],
             policy=EpistemicPolicy(
-                moment_order=pol["moment_order"], truncation=pol["truncation"]
+                **{k: typed[k] for k in ("moment_order", "truncation") if k in typed}
             ),
-            max_stages=pol["max_stages"],
-            epa_level=base["epa_level_linear"],
-            sncpc_max_iter=base["sncpc_max_iter"],
-            trials=scen["trials"],
-            seed=scen["seed"],
-            conditioned_gain=scen.get("conditioned_gain_linear"),
-            workers=scen["workers"],
+            **fields,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sweep = typed["sweep"]
-    for label in sweep.get("policies", ()):
-        if label not in POLICY_LABELS:
-            raise ConfigError(
-                f"unknown policy label {label!r}; expected one of {POLICY_LABELS}"
-            )
     metric, _, axis_keys = _FIGURES[figure]
-    axes = tuple((column, sweep[key]) for column, key in axis_keys)
+    axes = tuple((column, typed[key]) for column, key in axis_keys)
     if not all(values for _, values in axes):
         raise ConfigError("sweep needs " + " and ".join(k for _, k in axis_keys))
     # each axis sets its own spec fields, so checking the values one at a
@@ -253,7 +229,7 @@ def load_run_config(
         for key in sorted(table[section]):
             # worker count cannot influence results, and stamping it would
             # break byte-identity of outputs across machine configurations
-            if (section, key) == ("scenario", "workers"):
+            if key == "workers":
                 continue
             resolved.append((f"{section}.{key}", table[section][key]))
     return RunConfig(spec=spec, metric=metric, axes=axes, resolved=tuple(resolved))

@@ -91,8 +91,11 @@ class ScenarioSpec:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.conditioned_gain is not None and not self.conditioned_gain > 0.0:
-            raise ValueError("conditioned_gain must be positive")
+        if self.conditioned_gain is not None and not (
+            0.0 < self.conditioned_gain
+            and self.conditioned_gain * self.conditioned_gain < math.inf
+        ):
+            raise ValueError("conditioned_gain must be positive with a finite square")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.epa_level is not None:
@@ -255,18 +258,19 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
 
 def policy_spec(base: ScenarioSpec, label: str) -> ScenarioSpec:
     """Specialise a base spec to one of the sweep policy labels."""
-    if label.startswith("M") and label[1:].isdigit():
-        order = int(label[1:])
-        return replace(
-            base,
-            solver=SOLVER_EPISTEMIC,
-            policy=replace(base.policy, moment_order=order),
+    if label not in POLICY_LABELS:
+        raise ValueError(
+            f"unknown policy label {label!r}; expected one of {POLICY_LABELS}"
         )
     if label == "EPA":
         return replace(base, solver=SOLVER_EPA)
     if label == "SNCPC":
         return replace(base, solver=SOLVER_SNCPC)
-    raise ValueError(f"unknown policy label {label!r}")
+    return replace(
+        base,
+        solver=SOLVER_EPISTEMIC,
+        policy=replace(base.policy, moment_order=int(label[1:])),
+    )
 
 
 def db_to_linear(db: float) -> float:

@@ -1,0 +1,18 @@
+#!/bin/sh
+# Writes every bit-identity golden into OUTDIR: figure{3,4,5,6}.csv from
+# small.ini, sncpc_seed7.csv from sncpc_seed7.ini and, through solve.sh,
+# solve_nash.txt and solve_sncpc.txt.  CI compares each file with its
+# namesake in tests/golden; `sh tests/golden/write.sh tests/golden`
+# rewrites them all.  Run from the repository root.
+set -e
+out=$1
+mkdir -p "$out"
+for f in 3 4 5 6; do
+    PYTHONPATH=src python3 -m epipower.cli figure "$f" \
+        --config tests/golden/small.ini --out "$out/figure$f.csv" > /dev/null
+done
+PYTHONPATH=src python3 -m epipower.cli figure 5 \
+    --config tests/golden/sncpc_seed7.ini --out "$out/sncpc_seed7.csv" > /dev/null
+for s in nash sncpc; do
+    sh tests/golden/solve.sh "$s" > "$out/solve_$s.txt"
+done

@@ -6,6 +6,7 @@ import pytest
 
 from epipower import cli
 from epipower.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from epipower.config import load_run_config
 
 FAST_SWEEP = """
 [scenario]
@@ -102,6 +103,9 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
         ("solve", "nash", "--gains", "nan", "--thresholds-db", "0"),
         ("solve", "sncpc", "--gains", "1,inf", "--thresholds-db", "0,0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "nan", "--moment", "1"),
+        # a finite gain whose square overflows
+        ("solve", "epistemic", "--gains", "1e200,1", "--thresholds-db", "0,0"),
+        ("solve", "nash", "--gains", "1e200,1", "--thresholds-db", "0,0"),
     ],
     ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
 )
@@ -163,6 +167,16 @@ class TestSolve:
         assert code == EXIT_OK
         assert "node 0: power=1 feasible=True" in out
         assert "profitable_deviations = 0" in out
+
+    def test_nash_deviation_found_exits_one(self, capsys):
+        # a zero gain ties at every level, so the scan counts each lower one
+        code, out, _ = run(
+            capsys,
+            "solve", "nash", "--gains", "0,1", "--thresholds-db", "0,0",
+            "--grid-levels", "11", "--p-max", "10",
+        )
+        assert code == EXIT_SOLVER
+        assert "profitable_deviations = 10" in out
 
     def test_epistemic_single_node(self, capsys):
         code, out, _ = run(
@@ -366,6 +380,7 @@ class TestFigure:
             (3, "scenario", "rayleigh_sigma = 1e-200"),
             (5, "scenario", "rayleigh_sigma = 1e-200"),
             (3, "sweep", "thresholds_db = 4000"),
+            (3, "sweep", "gains_linear = 1e200"),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -384,11 +399,77 @@ class TestFigure:
         assert out == ""
         assert not out_csv.exists()
 
-    def test_print_defaults(self, capsys):
-        code, out, _ = run(capsys, "figure", "5", "--print-defaults", "--out", "x")
-        assert code == EXIT_OK
-        assert "[scenario]" in out
-        assert "trials = 10000" in out
+    def test_print_defaults(self, capsys, tmp_path):
+        # the printout is every key the figure accepts, as a loadable INI
+        for figure, n_keys in ((3, 17), (5, 15)):
+            code, out, _ = run(capsys, "figure", str(figure), "--print-defaults")
+            assert code == EXIT_OK
+            assert "trials = 10000" in out and "seed = 42" in out
+            assert out.count(" = ") == n_keys
+            path = tmp_path / "defaults.ini"
+            path.write_text(out)
+            printed = load_run_config(figure, path=str(path), env={})
+            builtin = load_run_config(figure, env={})
+            assert printed.spec == builtin.spec
+            assert printed.stamp_lines() == builtin.stamp_lines()
+
+    def test_run_without_out_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "figure", "5")
+        assert code == EXIT_USAGE
+        assert err == "error: the following arguments are required: --out\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "figure, section, setting",
+        [
+            (3, "scenario", "sinr_threshold_db = -20"),
+            (3, "scenario", "conditioned_gain_linear = 0.5"),
+            (3, "sweep", "interference_pct = 50"),
+            (3, "sweep", "policies = M1"),
+            (5, "scenario", "interference_fraction = 0.3"),
+            (5, "scenario", "solver = sncpc"),
+            (5, "policy", "moment_order = 4"),
+            (5, "sweep", "gains_linear = 7"),
+            (5, "sweep", "thresholds_db = -20"),
+            (5, "scenario", "conditioned_gain_linear = 0.5"),
+        ],
+    )
+    def test_key_the_figure_does_not_read_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, figure, section, setting
+    ):
+        # an axis sets the key at every point, or the figure never reads it
+        monkeypatch.setattr(cli, "sweep", None)
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[{section}]\n{setting}\n")
+        key = setting.split(" = ")[0]
+        code, out, err = run(
+            capsys, "figure", str(figure), "--config", str(path), "--out", "x.csv"
+        )
+        assert code == EXIT_USAGE
+        assert err == (
+            f"config error: unknown config key {key!r} in [{section}] "
+            f"for figure {figure}\n"
+        )
+        assert out == ""
+
+    def test_keys_the_axes_override_are_rejected(self, capsys, tmp_path):
+        # the policy axis sets solver and moment_order at every point, the
+        # load axis interference_fraction, and figure 5 has no gain axis
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[scenario]\ntrials = 8\nnodes = 5\nsolver = sncpc\n"
+            "interference_fraction = 0.3\n[grid]\nlevels = 11\n"
+            "[policy]\nmoment_order = 4\n"
+            "[sweep]\ninterference_pct = 80\npolicies = M1\ngains_linear = 7\n"
+        )
+        out_csv = tmp_path / "fig5.csv"
+        code, out, err = run(
+            capsys, "figure", "5", "--config", str(path), "--out", str(out_csv)
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert out == ""
+        assert not out_csv.exists()
 
     def test_solver_failure_budget_sets_exit_code(self, capsys, tmp_path):
         path = tmp_path / "cfg.ini"

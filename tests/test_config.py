@@ -25,20 +25,30 @@ class TestDefaults:
             ("gain", (0.2, 0.5, 1.0)),
             ("threshold_db", (-30.0, -27.0, -24.0, -21.0, -18.0)),
         )
-        # -24 dB default target
-        assert cfg.spec.sinr_threshold == pytest.approx(10.0 ** (-2.4))
+        # the axes set the target and the tracked gain at every point
+        table = figure_defaults(3)
+        assert not {"sinr_threshold_db", "conditioned_gain_linear"} & set(
+            table["scenario"]
+        )
+        assert not {"interference_pct", "policies"} & set(table["sweep"])
 
     def test_population_defaults(self):
         cfg = load_run_config(5, env={})
         assert len(cfg.spec.grid) == 10001
         assert cfg.spec.max_stages == 3
         assert cfg.spec.sncpc_max_iter == 2000
-        assert cfg.spec.interference_fraction == 0.8
         assert cfg.metric == "outage"
         assert cfg.axes == (
             ("interference_pct", (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)),
             ("policy", ("M1", "M2", "M3", "M4", "EPA", "SNCPC")),
         )
+        # the axes set the load, the solver and the moment order at every point
+        table = figure_defaults(5)
+        assert not {
+            "interference_fraction", "solver", "conditioned_gain_linear"
+        } & set(table["scenario"])
+        assert "moment_order" not in table["policy"]
+        assert not {"gains_linear", "thresholds_db"} & set(table["sweep"])
 
     def test_figure_defaults_table(self):
         table = figure_defaults(4)
@@ -102,6 +112,8 @@ class TestFileOverrides:
             (5, "interference_pct = 50, 0", "interference_pct"),
             (5, "interference_pct = 150", "interference_pct"),
             (3, "gains_linear = 0", "gains_linear"),
+            # a finite gain whose square overflows
+            (3, "gains_linear = 1e200", "gains_linear"),
             # 10**(-4000/10) underflows to a zero target
             (3, "thresholds_db = -24, -4000", "thresholds_db"),
         ],

@@ -53,6 +53,8 @@ class TestSpecValidation:
             population_spec(workers=0)
         with pytest.raises(ValueError):
             population_spec(conditioned_gain=0.0)
+        with pytest.raises(ValueError, match="finite square"):
+            population_spec(conditioned_gain=1e200)
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-200, 1e200])
     def test_sigma_must_give_a_finite_gain_rate(self, sigma):
@@ -239,8 +241,9 @@ class TestSweeps:
             assert spec.policy.moment_order == order
         assert policy_spec(base, "EPA").solver == "epa"
         assert policy_spec(base, "SNCPC").solver == "sncpc"
-        with pytest.raises(ValueError):
-            policy_spec(base, "M0X")
+        for label in ("M0X", "M7"):
+            with pytest.raises(ValueError, match="expected one of"):
+                policy_spec(base, label)
 
     def test_conditioned_sweep_rows(self):
         base = population_spec(trials=16, n_nodes=4)
