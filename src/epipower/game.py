@@ -278,6 +278,22 @@ def solve_nash_full_csi(
     return NashResult(powers, feasible, rounds)
 
 
+def _unilateral_sinr(
+    network: NetworkState, profile: np.ndarray, levels: np.ndarray, node_index: int
+) -> np.ndarray:
+    """Node i's SINR at every level, the others held at the profile.
+
+    One (levels, nodes) candidate matrix with column i set to the levels;
+    each row rounds as ``sinr`` does on that candidate profile, so every
+    entry equals it bit for bit.
+    """
+    candidates = np.tile(profile, (len(levels), 1))
+    candidates[:, node_index] = levels
+    received = network.gains_sq() * candidates
+    own = received[:, node_index]
+    return own / ((received.sum(axis=1) - own) + network.noise_power)
+
+
 def nash_deviation_scan(
     network: NetworkState,
     grid: PowerGrid,
@@ -291,20 +307,25 @@ def nash_deviation_scan(
     cheapest feasible level, or p_max when none is".  A deviation counts
     as profitable if it raises the capped SINR, or holds it at a lower
     power.  Empty result certifies a Nash point of the grid game.
-    Exhaustive on purpose; cost is len(grid) * n^2 SINR evaluations.
+    Exhaustive on purpose: every level of every node, one
+    (levels, nodes) matrix per node.  Returns (node, level) pairs by
+    node, then by ascending level.
     """
-    profile = [float(p) for p in powers]
+    profile = np.asarray(powers, dtype=np.float64)
+    if profile.shape != (len(network),):
+        raise ValueError("power profile length must match the network")
+    levels = grid.as_array()
+    received = network.gains_sq() * profile
+    current = received / ((received.sum() - received) + network.noise_power)
     improvements: list[tuple[int, float]] = []
     for i, node in enumerate(network.nodes):
-        cur_capped = min(sinr(network, profile, i), node.sinr_threshold)
-        for level in grid.levels:
-            if level == profile[i]:
-                continue
-            candidate = list(profile)
-            candidate[i] = level
-            cand_capped = min(sinr(network, candidate, i), node.sinr_threshold)
-            if cand_capped > cur_capped:
-                improvements.append((i, level))
-            elif cand_capped == cur_capped and level < profile[i]:
-                improvements.append((i, level))
+        cur_capped = min(current[i], node.sinr_threshold)
+        capped = np.minimum(
+            _unilateral_sinr(network, profile, levels, i), node.sinr_threshold
+        )
+        better = (capped > cur_capped) | (
+            (capped == cur_capped) & (levels < profile[i])
+        )
+        better &= levels != profile[i]
+        improvements.extend((i, grid.levels[j]) for j in np.flatnonzero(better))
     return improvements

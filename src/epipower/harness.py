@@ -89,6 +89,9 @@ class ScenarioSpec:
             raise ValueError("sncpc_max_iter must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > 2**32:
+            # each trial index must be one 32-bit word of its seed's entropy
+            raise ValueError("trials must be at most 2**32")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.conditioned_gain is not None and not (
@@ -138,28 +141,119 @@ class ScenarioMetrics:
     solver_failure_fraction: float
 
 
+# numpy's SeedSequence with its default pool of four 32-bit words (NEP 19;
+# numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
+# (O'Neill 2014, HMC-CS-2014-0905)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(init: int, mult: int):
+    """numpy's ``hashmix``; each call consumes the next hash constant."""
+    hash_const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _trial_seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, t]).generate_state(4, np.uint64)``, one row per t.
+
+    numpy's algorithm run on uint32 columns, one lane per trial; uint32
+    arithmetic wraps as numpy's does.  The entropy is the seed's 32-bit
+    words, least significant first, then the trial index, which is one
+    word because ``ScenarioSpec`` keeps trial indices below 2**32.
+    """
+    entropy = []
+    while True:
+        entropy.append(np.full(trials.shape, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(trials.astype(np.uint32))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    zero = np.zeros(trials.shape, dtype=np.uint32)
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state: eight uint32 outputs cycling over the pool, read as
+    # four little-endian uint64 words
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    out = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    return np.stack(
+        [out[k] | (out[k + 1] << np.uint64(32)) for k in range(0, 8, 2)], axis=1
+    )
+
+
+def _pcg64_state(words: list[int]) -> dict:
+    """``PCG64(seed_sequence).state`` for the sequence's four state words.
+
+    PCG64's seeding (``pcg64_set_seed``): the first two words are the
+    initial state and the last two the stream; state = 0, inc =
+    (stream << 1) | 1, one LCG step, state += initial state, one step.
+    """
+    initstate = (words[0] << 64) | words[1]
+    inc = ((((words[2] << 64) | words[3]) << 1) | 1) & _MASK128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _chunk_gains(spec: ScenarioSpec, chunk_index: int) -> np.ndarray:
     """Amplitudes of the active transmitters, one row per trial in the chunk.
 
-    Each trial owns an independent generator keyed by (seed, trial), so
-    chunk boundaries and worker scheduling cannot leak into the draws.
-    In conditioned scenarios column 0 is the fixed desired node.
+    Trial t draws from ``default_rng(SeedSequence([seed, t]))``, so chunk
+    boundaries and worker scheduling cannot leak into the draws.  The
+    chunk hashes all its trial seeds in one numpy pass and replays each
+    stream on one generator by setting its PCG64 state.  In conditioned
+    scenarios column 0 is the fixed desired node.
     """
     start = chunk_index * CHUNK_TRIALS
     stop = min(start + CHUNK_TRIALS, spec.trials)
     n_active = spec.active_count
     out = np.empty((stop - start, n_active), dtype=np.float64)
-    for trial in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial]))
+    words = _trial_seed_words(spec.seed, np.arange(start, stop, dtype=np.uint32))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for row, trial_words in enumerate(words.tolist()):
+        bit_generator.state = _pcg64_state(trial_words)
         amps = rng.rayleigh(spec.rayleigh_sigma, spec.n_nodes)
         if spec.conditioned_gain is not None:
             amps[0] = spec.conditioned_gain
             rivals = 1 + rng.permutation(spec.n_nodes - 1)[: n_active - 1]
-            out[trial - start, 0] = amps[0]
-            out[trial - start, 1:] = amps[rivals]
+            out[row, 0] = amps[0]
+            out[row, 1:] = amps[rivals]
         else:
             chosen = rng.permutation(spec.n_nodes)[:n_active]
-            out[trial - start] = amps[chosen]
+            out[row] = amps[chosen]
     return out
 
 

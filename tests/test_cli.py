@@ -381,6 +381,8 @@ class TestFigure:
             (5, "scenario", "rayleigh_sigma = 1e-200"),
             (3, "sweep", "thresholds_db = 4000"),
             (3, "sweep", "gains_linear = 1e200"),
+            # a trial index must fit one 32-bit seed word
+            (5, "scenario", "trials = 4294967297"),
         ],
     )
     def test_out_of_range_value_is_usage_error(

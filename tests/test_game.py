@@ -17,6 +17,7 @@ from epipower.game import (
     sinr,
     solve_nash_full_csi,
 )
+from epipower.game import _unilateral_sinr
 
 
 def two_node_network(noise=1.0):
@@ -380,3 +381,73 @@ class TestNashSolver:
                     assert res.powers[i] == grid.p_max and not res.feasible[i]
                 else:
                     assert res.powers[i] == levels[idx] and res.feasible[i]
+
+
+def reference_scan(network, grid, powers):
+    """The deviation scan as one ``sinr`` call per (node, level): the
+    scalar reference.  Capped-SINR ranking: a deviation is profitable if
+    it raises min(SINR, target), or holds it at a lower power."""
+    profile = [float(p) for p in powers]
+    improvements = []
+    for i, node in enumerate(network.nodes):
+        cur_capped = min(sinr(network, profile, i), node.sinr_threshold)
+        for level in grid.levels:
+            if level == profile[i]:
+                continue
+            candidate = list(profile)
+            candidate[i] = level
+            cand_capped = min(sinr(network, candidate, i), node.sinr_threshold)
+            if cand_capped > cur_capped or (
+                cand_capped == cur_capped and level < profile[i]
+            ):
+                improvements.append((i, level))
+    return improvements
+
+
+class TestDeviationScan:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=40),
+        n_levels=st.integers(min_value=2, max_value=1001),
+        p_min=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+        noise=st.floats(min_value=1e-3, max_value=10.0),
+        solved=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scalar_reference(
+        self, seed, n, n_levels, p_min, noise, solved
+    ):
+        rng = np.random.default_rng(seed)
+        gains = 2.0 - rng.uniform(0.0, 2.0, n)  # in (0, 2]
+        thresholds = 10.0 ** rng.uniform(-3.0, 0.5, n)
+        net = NetworkState(
+            nodes=tuple(
+                NodeConfig(i, float(g), float(t))
+                for i, (g, t) in enumerate(zip(gains, thresholds))
+            ),
+            noise_power=noise,
+        )
+        grid = PowerGrid.linear(
+            n_levels, p_min + float(rng.uniform(0.5, 20.0)), p_min
+        )
+        levels = grid.as_array()
+        if solved:
+            powers = solve_nash_full_csi(
+                net, grid, max_rounds=n * n_levels + 1
+            ).powers
+        else:
+            powers = tuple(rng.choice(levels, n).tolist())
+        assert nash_deviation_scan(net, grid, powers) == reference_scan(
+            net, grid, powers
+        )
+        profile = np.asarray(powers)
+        for i in rng.choice(n, min(n, 3), replace=False).tolist():
+            level_sinr = _unilateral_sinr(net, profile, levels, i)
+            for j in rng.choice(n_levels, min(n_levels, 5), replace=False).tolist():
+                candidate = list(powers)
+                candidate[i] = grid.levels[j]
+                assert level_sinr[j] == sinr(net, candidate, i)
+
+    def test_profile_length_must_match(self):
+        with pytest.raises(ValueError, match="length"):
+            nash_deviation_scan(two_node_network(), PowerGrid.linear(11, 1.0), (0.5,))

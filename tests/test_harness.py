@@ -11,6 +11,9 @@ from epipower.harness import (
     CHUNK_TRIALS,
     POLICY_LABELS,
     ScenarioSpec,
+    _chunk_gains,
+    _pcg64_state,
+    _trial_seed_words,
     db_to_linear,
     policy_spec,
     run_scenario,
@@ -55,6 +58,13 @@ class TestSpecValidation:
             population_spec(conditioned_gain=0.0)
         with pytest.raises(ValueError, match="finite square"):
             population_spec(conditioned_gain=1e200)
+
+    def test_trial_index_fits_one_seed_word(self):
+        # numpy spells trial 2**32 as two entropy words; the chunk seeding
+        # hashes the trial index as one
+        assert population_spec(trials=2**32).trials == 2**32
+        with pytest.raises(ValueError, match=r"trials must be at most 2\*\*32"):
+            population_spec(trials=2**32 + 1)
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-200, 1e200])
     def test_sigma_must_give_a_finite_gain_rate(self, sigma):
@@ -199,6 +209,62 @@ class TestReplay:
         a = run_scenario(population_spec(seed=1))
         b = run_scenario(population_spec(seed=2))
         assert a.avg_power != b.avg_power
+
+
+def replay_gains(spec, chunk_index):
+    """One chunk's amplitudes, one ``default_rng(SeedSequence([seed, trial]))``
+    per trial: the per-trial reference for the chunk seeding."""
+    start = chunk_index * CHUNK_TRIALS
+    rows = []
+    for trial in range(start, min(start + CHUNK_TRIALS, spec.trials)):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial]))
+        amps = rng.rayleigh(spec.rayleigh_sigma, spec.n_nodes)
+        if spec.conditioned_gain is None:
+            rows.append(amps[rng.permutation(spec.n_nodes)[: spec.active_count]])
+        else:
+            rivals = 1 + rng.permutation(spec.n_nodes - 1)[: spec.active_count - 1]
+            rows.append(np.concatenate([[spec.conditioned_gain], amps[rivals]]))
+    return np.asarray(rows)
+
+
+SEEDS = (0, 42, 2**32 - 1, 2**32, 2**96 + 1, 2**128 + 7)
+TRIALS = np.array([0, 1, 511, 512, 2**32 - 1], dtype=np.uint32)
+
+
+class TestChunkSeeding:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        words = _trial_seed_words(seed, TRIALS)
+        for row, trial in zip(words, TRIALS.tolist()):
+            ref = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
+            assert row.tolist() == ref.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pcg64_state_matches_the_seeded_generator(self, seed):
+        words = _trial_seed_words(seed, TRIALS).tolist()
+        for row, trial in zip(words, TRIALS.tolist()):
+            ref = np.random.PCG64(np.random.SeedSequence([seed, trial])).state
+            assert _pcg64_state(row) == ref
+
+    @pytest.mark.parametrize(
+        "spec, chunk_index",
+        [
+            # n_active == n_nodes
+            (population_spec(trials=CHUNK_TRIALS), 0),
+            # 80% load; the last chunk holds 76 trials
+            (population_spec(n_nodes=100, interference_fraction=0.8, trials=1100), 2),
+            (population_spec(n_nodes=9, conditioned_gain=0.7, trials=600), 1),
+            (population_spec(rayleigh_sigma=2.5, interference_fraction=0.5), 0),
+            (population_spec(seed=2**40, trials=700), 1),
+            # the last trial index that fits one seed word
+            (population_spec(trials=2**32), 2**32 // CHUNK_TRIALS - 1),
+        ],
+    )
+    def test_chunk_matches_per_trial_generators(self, spec, chunk_index):
+        got = _chunk_gains(spec, chunk_index)
+        ref = replay_gains(spec, chunk_index)
+        assert got.shape == ref.shape == (len(ref), spec.active_count)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestAggregation:
