@@ -301,13 +301,17 @@ def nash_deviation_scan(
 ) -> list[tuple[int, float]]:
     """Exhaustively search all unilateral grid deviations that beat a profile.
 
-    Utility is lexicographic: first get SINR as close to the target as
-    possible (capped there, so overshoot earns nothing), then minimise
-    power.  This is exactly the preference whose best response is "the
-    cheapest feasible level, or p_max when none is".  A deviation counts
-    as profitable if it raises the capped SINR, or holds it at a lower
-    power.  Empty result certifies a Nash point of the grid game.
-    Exhaustive on purpose: every level of every node, one
+    Levels are ranked by the solver's own preference: a feasible level
+    (SINR >= target) beats an infeasible one; among feasible levels the
+    lower power wins, among infeasible ones the higher.  Its best
+    response is the solver's: the cheapest feasible level, or p_max when
+    none is.  A deviation is profitable if it ranks above the node's
+    power in the profile; an empty result certifies a Nash point of the
+    grid game.  Where a node's SINR rises strictly with its power, as for
+    g^2 > 0 unless rounding ties two levels, this ranks levels as
+    min(SINR, target) then lower power does; a zero (or underflowed)
+    squared gain ties every level at SINR 0, and p_max stays its best
+    response.  Exhaustive on purpose: every level of every node, one
     (levels, nodes) matrix per node.  Returns (node, level) pairs by
     node, then by ascending level.
     """
@@ -319,13 +323,12 @@ def nash_deviation_scan(
     current = received / ((received.sum() - received) + network.noise_power)
     improvements: list[tuple[int, float]] = []
     for i, node in enumerate(network.nodes):
-        cur_capped = min(current[i], node.sinr_threshold)
-        capped = np.minimum(
-            _unilateral_sinr(network, profile, levels, i), node.sinr_threshold
+        feasible = (
+            _unilateral_sinr(network, profile, levels, i) >= node.sinr_threshold
         )
-        better = (capped > cur_capped) | (
-            (capped == cur_capped) & (levels < profile[i])
-        )
-        better &= levels != profile[i]
+        if current[i] >= node.sinr_threshold:
+            better = feasible & (levels < profile[i])
+        else:
+            better = feasible | (levels > profile[i])
         improvements.extend((i, grid.levels[j]) for j in np.flatnonzero(better))
     return improvements

@@ -67,10 +67,12 @@ def test_readme_transcripts_match(capsys):
         assert out.splitlines() == expected, argv
 
 
-@pytest.mark.parametrize("scheme", ["nash", "sncpc"])
+@pytest.mark.parametrize("scheme", ["nash", "sncpc", "nash_zero_gain"])
 def test_solve_transcripts_match_goldens(capsys, scheme):
-    # tests/golden/solve.sh wrote these: a run to convergence, then one
-    # capped at a single sweep (Nash fails, S-NCPC reports converged = False)
+    # tests/golden/solve.sh wrote these: for nash and sncpc a run to
+    # convergence, then one capped at a single sweep (Nash fails, S-NCPC
+    # reports converged = False); for nash_zero_gain two certified Nash
+    # runs whose node 0 has a zero squared gain
     blocks = (GOLDEN / f"solve_{scheme}.txt").read_text().split("$ epipower ")
     assert blocks[0] == "" and len(blocks) == 3
     for block in blocks[1:]:
@@ -169,14 +171,29 @@ class TestSolve:
         assert "profitable_deviations = 0" in out
 
     def test_nash_deviation_found_exits_one(self, capsys):
-        # a zero gain ties at every level, so the scan counts each lower one
+        # a knife-edge target: the solver tests (g^2/noise)*p >= target and
+        # rejects p = 3, while the scan's g^2*p/noise at p = 3 equals it
         code, out, _ = run(
             capsys,
-            "solve", "nash", "--gains", "0,1", "--thresholds-db", "0,0",
-            "--grid-levels", "11", "--p-max", "10",
+            "solve", "nash", "--gains", "1", "--thresholds-db", "7.701212547196625",
+            "--noise-db=-2.93", "--grid-levels", "11", "--p-max", "10",
         )
         assert code == EXIT_SOLVER
-        assert "profitable_deviations = 10" in out
+        assert "node 0: power=4 feasible=True" in out
+        assert "profitable_deviations = 1" in out
+
+    @pytest.mark.parametrize("gain", ["0", "1e-170"])
+    def test_zero_squared_gain_certifies(self, capsys, gain):
+        # node 0's squared gain is 0 (1e-170 squared underflows): SINR 0 at
+        # every level, so p_max is its best response, not a tie to leave
+        code, out, _ = run(
+            capsys,
+            "solve", "nash", "--gains", f"{gain},1", "--thresholds-db", "0,0",
+            "--grid-levels", "11", "--p-max", "10",
+        )
+        assert code == EXIT_OK
+        assert "node 0: power=10 feasible=False" in out
+        assert "profitable_deviations = 0" in out
 
     def test_epistemic_single_node(self, capsys):
         code, out, _ = run(

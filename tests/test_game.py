@@ -386,7 +386,9 @@ class TestNashSolver:
 def reference_scan(network, grid, powers):
     """The deviation scan as one ``sinr`` call per (node, level): the
     scalar reference.  Capped-SINR ranking: a deviation is profitable if
-    it raises min(SINR, target), or holds it at a lower power."""
+    it raises min(SINR, target), or holds it at a lower power.  For
+    positive gains, whose SINR rises strictly with power, it ranks levels
+    as the scan's feasible-first preference does."""
     profile = [float(p) for p in powers]
     improvements = []
     for i, node in enumerate(network.nodes):
@@ -447,6 +449,19 @@ class TestDeviationScan:
                 candidate = list(powers)
                 candidate[i] = grid.levels[j]
                 assert level_sinr[j] == sinr(net, candidate, i)
+
+    @pytest.mark.parametrize("gain", [0.0, 1e-170])  # 1e-170 squared is 0
+    def test_zero_squared_gain_certifies_at_p_max(self, gain):
+        net = NetworkState(
+            nodes=(NodeConfig(0, gain, 1.0), NodeConfig(1, 1.0, 1.0)),
+            noise_power=1.0,
+        )
+        grid = PowerGrid.linear(11, 10.0)
+        res = solve_nash_full_csi(net, grid)
+        assert res.powers == (10.0, 1.0) and res.feasible == (False, True)
+        assert nash_deviation_scan(net, grid, res.powers) == []
+        # below p_max every higher level ranks above it
+        assert nash_deviation_scan(net, grid, (8.0, 1.0)) == [(0, 9.0), (0, 10.0)]
 
     def test_profile_length_must_match(self):
         with pytest.raises(ValueError, match="length"):
