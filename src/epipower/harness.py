@@ -181,12 +181,11 @@ def _trial_seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     words, least significant first, then the trial index, which is one
     word because ``ScenarioSpec`` keeps trial indices below 2**32.
     """
-    entropy = []
-    while True:
-        entropy.append(np.full(trials.shape, seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
+    n_words = max(1, -(-seed.bit_length() // 32))  # 0 is one word, [0]
+    entropy = [
+        np.full(trials.shape, (seed >> 32 * k) & _MASK32, dtype=np.uint32)
+        for k in range(n_words)
+    ]
     entropy.append(trials.astype(np.uint32))
     hashmix = _hashmix(_INIT_A, _MULT_A)
     zero = np.zeros(trials.shape, dtype=np.uint32)
@@ -203,10 +202,8 @@ def _trial_seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     # generate_state: eight uint32 outputs cycling over the pool, read as
     # four little-endian uint64 words
     hashmix = _hashmix(_INIT_B, _MULT_B)
-    out = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
-    return np.stack(
-        [out[k] | (out[k + 1] << np.uint64(32)) for k in range(0, 8, 2)], axis=1
-    )
+    out = np.stack([hashmix(pool[k % _POOL_SIZE]) for k in range(8)], axis=1)
+    return out.astype("<u4").view("<u8")
 
 
 def _pcg64_state(words: list[int]) -> dict:

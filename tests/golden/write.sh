@@ -3,7 +3,8 @@
 # small.ini, sncpc_seed7.csv from sncpc_seed7.ini and, through solve.sh,
 # solve_nash.txt, solve_sncpc.txt and solve_nash_zero_gain.txt.  CI
 # compares each file with its namesake in tests/golden;
-# `sh tests/golden/write.sh tests/golden` rewrites them all.  Run from the repository root.
+# `sh tests/golden/write.sh tests/golden` rewrites them all.  Run from the
+# repository root.
 set -e
 out=$1
 mkdir -p "$out"
