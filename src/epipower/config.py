@@ -13,7 +13,6 @@ import configparser
 import os
 from dataclasses import dataclass
 
-from .engine import EpistemicPolicy
 from .game import PowerGrid
 from .harness import _AXES, ScenarioSpec, db_to_linear
 
@@ -25,8 +24,8 @@ class ConfigError(ValueError):
 
 
 # INI key -> (value kind, the ScenarioSpec field it sets); key names are
-# unique across sections.  The [grid] and [policy] keys without a field
-# build the grid and the policy, the [sweep] keys build the axes.
+# unique across sections.  The [grid] keys without a field build the
+# grid, the [sweep] keys build the axes.
 _KEYS: dict[str, tuple[str, str | None]] = {
     "nodes": ("int", "n_nodes"),
     "rayleigh_sigma": ("float", "rayleigh_sigma"),
@@ -36,11 +35,10 @@ _KEYS: dict[str, tuple[str, str | None]] = {
     "trials": ("int", "trials"),
     "seed": ("int", "seed"),
     "workers": ("int", "workers"),
-    "solver": ("str", "solver"),
     "levels": ("int", None),
     "p_max_linear": ("float", None),
-    "moment_order": ("int", None),
-    "truncation": ("int", None),
+    "label": ("str", "label"),
+    "truncation": ("int", "truncation"),
     "max_stages": ("int", "max_stages"),
     "epa_level_linear": ("float", "epa_level"),
     "sncpc_max_iter": ("int", "sncpc_max_iter"),
@@ -67,9 +65,9 @@ _COMMON_DEFAULTS: dict[str, dict[str, str]] = {
 # conditioned-node sweeps: everyone transmits, shallow reasoning; the axes
 # set the tracked node's gain and SINR target
 _CONDITIONED_DEFAULTS: dict[str, dict[str, str]] = {
-    "scenario": {"interference_fraction": "1.0", "solver": "epistemic"},
+    "scenario": {"interference_fraction": "1.0"},
     "grid": {"levels": "1001"},
-    "policy": {"moment_order": "1", "max_stages": "1"},
+    "policy": {"label": "M1", "max_stages": "1"},
     "sweep": {
         "gains_linear": "0.2, 0.5, 1.0",
         "thresholds_db": "-30, -27, -24, -21, -18",
@@ -77,7 +75,7 @@ _CONDITIONED_DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 # population sweeps: finer grid, deeper reasoning, policy comparison; the
-# axes set the load and the solver with its moment order
+# axes set the load and the policy label
 _POPULATION_DEFAULTS: dict[str, dict[str, str]] = {
     "scenario": {"sinr_threshold_db": "-20.0"},
     "grid": {"levels": "10001"},
@@ -202,9 +200,6 @@ def load_run_config(
         spec = ScenarioSpec(
             grid=PowerGrid.linear(
                 n_levels=typed["levels"], p_max=typed["p_max_linear"]
-            ),
-            policy=EpistemicPolicy(
-                **{k: typed[k] for k in ("moment_order", "truncation") if k in typed}
             ),
             **fields,
         )

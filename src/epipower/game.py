@@ -278,22 +278,6 @@ def solve_nash_full_csi(
     return NashResult(powers, feasible, rounds)
 
 
-def _unilateral_sinr(
-    network: NetworkState, profile: np.ndarray, levels: np.ndarray, node_index: int
-) -> np.ndarray:
-    """Node i's SINR at every level, the others held at the profile.
-
-    One (levels, nodes) candidate matrix with column i set to the levels;
-    each row rounds as ``sinr`` does on that candidate profile, so every
-    entry equals it bit for bit.
-    """
-    candidates = np.tile(profile, (len(levels), 1))
-    candidates[:, node_index] = levels
-    received = network.gains_sq() * candidates
-    own = received[:, node_index]
-    return own / ((received.sum(axis=1) - own) + network.noise_power)
-
-
 def nash_deviation_scan(
     network: NetworkState,
     grid: PowerGrid,
@@ -301,32 +285,32 @@ def nash_deviation_scan(
 ) -> list[tuple[int, float]]:
     """Exhaustively search all unilateral grid deviations that beat a profile.
 
-    Levels are ranked by the solver's own preference: a feasible level
-    (SINR >= target) beats an infeasible one; among feasible levels the
-    lower power wins, among infeasible ones the higher.  Its best
-    response is the solver's: the cheapest feasible level, or p_max when
-    none is.  A deviation is profitable if it ranks above the node's
-    power in the profile; an empty result certifies a Nash point of the
-    grid game.  Where a node's SINR rises strictly with its power, as for
-    g^2 > 0 unless rounding ties two levels, this ranks levels as
-    min(SINR, target) then lower power does; a zero (or underflowed)
-    squared gain ties every level at SINR 0, and p_max stays its best
-    response.  Exhaustive on purpose: every level of every node, one
-    (levels, nodes) matrix per node.  Returns (node, level) pairs by
-    node, then by ascending level.
+    A level is feasible for node i when slope_i * level >= target, with
+    slope_i = g_i^2 / (sum_{j != i} g_j^2 p_j + noise): the inequality
+    ``best_response_sweeps`` tests with weights g^2 and scale 1, rounded
+    the same way, so a fixed point of the solver certifies.  Levels are
+    ranked by the solver's own preference: a feasible level beats an
+    infeasible one; among feasible levels the lower power wins, among
+    infeasible ones the higher.  Its best response is the solver's: the
+    cheapest feasible level, or p_max when none is.  A deviation is
+    profitable if it ranks above the node's power in the profile; an
+    empty result certifies a Nash point of the grid game.  A zero (or
+    underflowed) squared gain makes every level infeasible, and p_max
+    stays its best response.  Exhaustive on purpose: every level of
+    every node.  Returns (node, level) pairs by node, then by ascending
+    level.
     """
     profile = np.asarray(powers, dtype=np.float64)
     if profile.shape != (len(network),):
         raise ValueError("power profile length must match the network")
     levels = grid.as_array()
-    received = network.gains_sq() * profile
-    current = received / ((received.sum() - received) + network.noise_power)
+    g2 = network.gains_sq()
+    received = g2 * profile
+    slopes = g2 / ((received.sum() - received) + network.noise_power)
     improvements: list[tuple[int, float]] = []
     for i, node in enumerate(network.nodes):
-        feasible = (
-            _unilateral_sinr(network, profile, levels, i) >= node.sinr_threshold
-        )
-        if current[i] >= node.sinr_threshold:
+        feasible = slopes[i] * levels >= node.sinr_threshold
+        if slopes[i] * profile[i] >= node.sinr_threshold:
             better = feasible & (levels < profile[i])
         else:
             better = feasible | (levels > profile[i])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -42,18 +42,25 @@ __all__ = [
 
 CHUNK_TRIALS = 512
 
-SOLVER_EPISTEMIC = "epistemic"
-SOLVER_EPA = "epa"
-SOLVER_SNCPC = "sncpc"
-_SOLVERS = (SOLVER_EPISTEMIC, SOLVER_EPA, SOLVER_SNCPC)
-
-# labels accepted in sweep policy lists
-POLICY_LABELS = ("M1", "M2", "M3", "M4", "EPA", "SNCPC")
+# policy label -> (solver, moment order); the comparators ignore the order
+_POLICIES = {
+    "M1": ("epistemic", 1),
+    "M2": ("epistemic", 2),
+    "M3": ("epistemic", 3),
+    "M4": ("epistemic", 4),
+    "EPA": ("epa", 1),
+    "SNCPC": ("sncpc", 1),
+}
+POLICY_LABELS = tuple(_POLICIES)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything one Monte Carlo evaluation point depends on."""
+    """Everything one Monte Carlo evaluation point depends on.
+
+    ``label`` names the policy (one of ``POLICY_LABELS``); ``solver`` and
+    ``policy`` are read from it, with ``truncation`` for the belief series.
+    """
 
     grid: PowerGrid
     n_nodes: int = 100
@@ -61,8 +68,8 @@ class ScenarioSpec:
     noise_power: float = 1e-12
     sinr_threshold: float = 0.01
     interference_fraction: float = 1.0
-    solver: str = SOLVER_EPISTEMIC
-    policy: EpistemicPolicy = field(default_factory=EpistemicPolicy)
+    label: str = "M1"
+    truncation: int = 4
     max_stages: int = 1
     epa_level: float | None = None
     sncpc_max_iter: int = 2000
@@ -81,8 +88,11 @@ class ScenarioSpec:
             raise ValueError("sinr_threshold must be positive")
         if not 0.0 <= self.interference_fraction <= 1.0:
             raise ValueError("interference_fraction must be in [0, 1]")
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
+        if self.label not in _POLICIES:
+            raise ValueError(
+                f"unknown policy label {self.label!r}; expected one of {POLICY_LABELS}"
+            )
+        self.policy  # raises on a negative truncation
         if self.max_stages < 1:
             raise ValueError("max_stages must be at least 1")
         if self.sncpc_max_iter < 1:
@@ -124,6 +134,16 @@ class ScenarioSpec:
     @property
     def prior(self) -> RayleighPrior:
         return RayleighPrior(sigma=self.rayleigh_sigma)
+
+    @property
+    def solver(self) -> str:
+        return _POLICIES[self.label][0]
+
+    @property
+    def policy(self) -> EpistemicPolicy:
+        return EpistemicPolicy(
+            moment_order=_POLICIES[self.label][1], truncation=self.truncation
+        )
 
 
 @dataclass(frozen=True)
@@ -261,7 +281,7 @@ def _run_chunk(spec: ScenarioSpec, chunk_index: int):
     capped_rows = 0
     failed_trials = 0
 
-    if spec.solver == SOLVER_EPISTEMIC:
+    if spec.solver == "epistemic":
         res = epistemic_response(
             gains.ravel(),
             n_active=n_active,
@@ -274,7 +294,7 @@ def _run_chunk(spec: ScenarioSpec, chunk_index: int):
         )
         powers = res.powers.reshape(gains.shape)
         capped_rows = int((~res.converged).sum())
-    elif spec.solver == SOLVER_EPA:
+    elif spec.solver == "epa":
         level = spec.epa_level if spec.epa_level is not None else spec.grid.p_max
         powers = np.full(gains.shape, float(level))
     else:
@@ -349,19 +369,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
 
 def policy_spec(base: ScenarioSpec, label: str) -> ScenarioSpec:
     """Specialise a base spec to one of the sweep policy labels."""
-    if label not in POLICY_LABELS:
-        raise ValueError(
-            f"unknown policy label {label!r}; expected one of {POLICY_LABELS}"
-        )
-    if label == "EPA":
-        return replace(base, solver=SOLVER_EPA)
-    if label == "SNCPC":
-        return replace(base, solver=SOLVER_SNCPC)
-    return replace(
-        base,
-        solver=SOLVER_EPISTEMIC,
-        policy=replace(base.policy, moment_order=int(label[1:])),
-    )
+    return replace(base, label=label)
 
 
 def db_to_linear(db: float) -> float:

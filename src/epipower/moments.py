@@ -105,12 +105,12 @@ def fit_gamma_mme(
     ------
     ValueError
         if ``powers`` is empty ("no interferers"), any entry is not
-        strictly positive, or ``lam`` is not strictly positive.
+        strictly positive, or ``lam`` is not finite and strictly positive.
     """
     if len(powers) == 0:
         raise ValueError("no interferers: cannot fit an interference model")
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     vec = [float(p) for p in powers]
     if any(not p > 0.0 for p in vec):
         raise ValueError("all interferer powers must be strictly positive")

@@ -7,6 +7,7 @@ import pytest
 from epipower import cli
 from epipower.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from epipower.config import load_run_config
+from epipower.game import NashResult
 
 FAST_SWEEP = """
 [scenario]
@@ -105,6 +106,7 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
         ("solve", "nash", "--gains", "nan", "--thresholds-db", "0"),
         ("solve", "sncpc", "--gains", "1,inf", "--thresholds-db", "0,0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "nan", "--moment", "1"),
+        ("fit-gamma", "--powers", "1,2", "--rate", "inf"),
         # a finite gain whose square overflows
         ("solve", "epistemic", "--gains", "1e200,1", "--thresholds-db", "0,0"),
         ("solve", "nash", "--gains", "1e200,1", "--thresholds-db", "0,0"),
@@ -170,17 +172,35 @@ class TestSolve:
         assert "node 0: power=1 feasible=True" in out
         assert "profitable_deviations = 0" in out
 
-    def test_nash_deviation_found_exits_one(self, capsys):
-        # a knife-edge target: the solver tests (g^2/noise)*p >= target and
-        # rejects p = 3, while the scan's g^2*p/noise at p = 3 equals it
+    def test_nash_deviation_found_exits_one(self, capsys, monkeypatch):
+        # a wasteful profile: node 0 meets its target at every level from
+        # 1 up, so each of levels 1..9 undercuts p_max = 10
+        monkeypatch.setattr(
+            cli,
+            "solve_nash_full_csi",
+            lambda network, grid, max_rounds: NashResult((10.0,), (True,), 1),
+        )
+        code, out, _ = run(
+            capsys,
+            "solve", "nash", "--gains", "1", "--thresholds-db", "0",
+            "--noise-db", "0", "--grid-levels", "11", "--p-max", "10",
+        )
+        assert code == EXIT_SOLVER
+        assert "node 0: power=10 feasible=True" in out
+        assert "profitable_deviations = 9" in out
+
+    def test_knife_edge_target_certifies(self, capsys):
+        # g^2*p/noise at p = 3 equals the target, but the solver's
+        # (g^2/noise)*p rounds one ulp below it and takes p = 4; the scan
+        # tests the same product, so p = 3 is no deviation
         code, out, _ = run(
             capsys,
             "solve", "nash", "--gains", "1", "--thresholds-db", "7.701212547196625",
             "--noise-db=-2.93", "--grid-levels", "11", "--p-max", "10",
         )
-        assert code == EXIT_SOLVER
+        assert code == EXIT_OK
         assert "node 0: power=4 feasible=True" in out
-        assert "profitable_deviations = 1" in out
+        assert "profitable_deviations = 0" in out
 
     @pytest.mark.parametrize("gain", ["0", "1e-170"])
     def test_zero_squared_gain_certifies(self, capsys, gain):
@@ -400,6 +420,7 @@ class TestFigure:
             (3, "sweep", "gains_linear = 1e200"),
             # a trial index must fit one 32-bit seed word
             (5, "scenario", "trials = 4294967297"),
+            (4, "policy", "label = M7"),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -420,7 +441,7 @@ class TestFigure:
 
     def test_print_defaults(self, capsys, tmp_path):
         # the printout is every key the figure accepts, as a loadable INI
-        for figure, n_keys in ((3, 17), (5, 15)):
+        for figure, n_keys in ((3, 16), (5, 15)):
             code, out, _ = run(capsys, "figure", str(figure), "--print-defaults")
             assert code == EXIT_OK
             assert "trials = 10000" in out and "seed = 42" in out
@@ -451,6 +472,9 @@ class TestFigure:
             (5, "sweep", "gains_linear = 7"),
             (5, "sweep", "thresholds_db = -20"),
             (5, "scenario", "conditioned_gain_linear = 0.5"),
+            # the policy label replaced the solver and its moment order
+            (3, "scenario", "solver = epa"),
+            (4, "policy", "moment_order = 4"),
         ],
     )
     def test_key_the_figure_does_not_read_is_usage_error(
@@ -472,8 +496,9 @@ class TestFigure:
         assert out == ""
 
     def test_keys_the_axes_override_are_rejected(self, capsys, tmp_path):
-        # the policy axis sets solver and moment_order at every point, the
-        # load axis interference_fraction, and figure 5 has no gain axis
+        # figure 5 reads neither solver nor moment_order (its policy axis
+        # sets the label at every point), the load axis sets
+        # interference_fraction, and figure 5 has no gain axis
         path = tmp_path / "cfg.ini"
         path.write_text(
             "[scenario]\ntrials = 8\nnodes = 5\nsolver = sncpc\n"
@@ -489,6 +514,32 @@ class TestFigure:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert out == ""
         assert not out_csv.exists()
+
+    def test_policy_label_names_the_conditioned_policy(self, capsys, tmp_path):
+        # EPA transmits at p_max, the top grid level, on every row
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[scenario]\ntrials = 16\nnodes = 5\n[grid]\nlevels = 11\n"
+            "[policy]\nlabel = EPA\n[sweep]\ngains_linear = 0.5, 1\n"
+            "thresholds_db = -24, -18\n"
+        )
+        out_csv = tmp_path / "fig3.csv"
+        code, _, _ = run(
+            capsys, "figure", "3", "--config", str(path), "--out", str(out_csv)
+        )
+        assert code == EXIT_OK
+        text = out_csv.read_text().splitlines()
+        assert "# policy.label = EPA" in text
+        assert not [line for line in text if "solver" in line or "moment_order" in line]
+        rows = text[text.index("gain,threshold_db,metric,ci") + 1 :]
+        assert len(rows) == 4
+        assert all(row.split(",")[2] == "1" for row in rows)
+        # the population figures' policy axis sets the label at every point
+        code, _, err = run(
+            capsys, "figure", "5", "--config", str(path), "--out", str(out_csv)
+        )
+        assert code == EXIT_USAGE
+        assert "unknown config key 'label' in [policy] for figure 5" in err
 
     def test_solver_failure_budget_sets_exit_code(self, capsys, tmp_path):
         path = tmp_path / "cfg.ini"

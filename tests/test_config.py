@@ -2,6 +2,7 @@
 import pytest
 
 from epipower.config import ConfigError, figure_defaults, load_run_config
+from epipower.engine import EpistemicPolicy
 
 
 def write(tmp_path, text):
@@ -31,6 +32,11 @@ class TestDefaults:
             table["scenario"]
         )
         assert not {"interference_pct", "policies"} & set(table["sweep"])
+        # one label names the policy
+        assert cfg.spec.label == "M1"
+        assert table["policy"]["label"] == "M1"
+        assert "solver" not in table["scenario"]
+        assert "moment_order" not in table["policy"]
 
     def test_population_defaults(self):
         cfg = load_run_config(5, env={})
@@ -42,12 +48,12 @@ class TestDefaults:
             ("interference_pct", (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)),
             ("policy", ("M1", "M2", "M3", "M4", "EPA", "SNCPC")),
         )
-        # the axes set the load, the solver and the moment order at every point
+        # the axes set the load and the policy label at every point
         table = figure_defaults(5)
         assert not {
             "interference_fraction", "solver", "conditioned_gain_linear"
         } & set(table["scenario"])
-        assert "moment_order" not in table["policy"]
+        assert not {"label", "moment_order"} & set(table["policy"])
         assert not {"gains_linear", "thresholds_db"} & set(table["sweep"])
 
     def test_figure_defaults_table(self):
@@ -95,6 +101,16 @@ class TestFileOverrides:
         path = write(tmp_path, "[sweep]\npolicies = M1, M9\n")
         with pytest.raises(ConfigError, match="M9"):
             load_run_config(5, path=path, env={})
+
+    def test_policy_label_sets_the_spec(self, tmp_path):
+        path = write(tmp_path, "[policy]\nlabel = M4\ntruncation = 2\n")
+        cfg = load_run_config(3, path=path, env={})
+        assert cfg.spec.label == "M4" and cfg.spec.solver == "epistemic"
+        assert cfg.spec.policy == EpistemicPolicy(moment_order=4, truncation=2)
+        assert "policy.label = M4" in cfg.stamp_lines()
+        path = write(tmp_path, "[policy]\nlabel = M7\n")
+        with pytest.raises(ConfigError, match=r"^unknown policy label 'M7'"):
+            load_run_config(3, path=path, env={})
 
     def test_empty_sweep_axis_rejected(self, tmp_path):
         for figure, text, keys in (

@@ -17,7 +17,6 @@ from epipower.game import (
     sinr,
     solve_nash_full_csi,
 )
-from epipower.game import _unilateral_sinr
 
 
 def two_node_network(noise=1.0):
@@ -384,24 +383,27 @@ class TestNashSolver:
 
 
 def reference_scan(network, grid, powers):
-    """The deviation scan as one ``sinr`` call per (node, level): the
-    scalar reference.  Capped-SINR ranking: a deviation is profitable if
-    it raises min(SINR, target), or holds it at a lower power.  For
-    positive gains, whose SINR rises strictly with power, it ranks levels
-    as the scan's feasible-first preference does."""
+    """The deviation scan as one scalar test per (node, level): the
+    scalar reference.  A level is feasible when slope * level >= target,
+    with slope = g_i^2 / (sum_{j != i} g_j^2 p_j + noise), the inequality
+    the Nash solver tests.  A deviation is profitable if it is feasible
+    and cheaper than a feasible own level, or, from an infeasible own
+    level, feasible or higher."""
     profile = [float(p) for p in powers]
+    g2 = network.gains_sq()
+    received = g2 * np.asarray(profile)
+    total = received.sum()
     improvements = []
     for i, node in enumerate(network.nodes):
-        cur_capped = min(sinr(network, profile, i), node.sinr_threshold)
+        slope = float(g2[i] / ((total - received[i]) + network.noise_power))
+        own_feasible = slope * profile[i] >= node.sinr_threshold
         for level in grid.levels:
-            if level == profile[i]:
-                continue
-            candidate = list(profile)
-            candidate[i] = level
-            cand_capped = min(sinr(network, candidate, i), node.sinr_threshold)
-            if cand_capped > cur_capped or (
-                cand_capped == cur_capped and level < profile[i]
-            ):
+            feasible = slope * level >= node.sinr_threshold
+            if own_feasible:
+                better = feasible and level < profile[i]
+            else:
+                better = feasible or level > profile[i]
+            if better:
                 improvements.append((i, level))
     return improvements
 
@@ -439,16 +441,11 @@ class TestDeviationScan:
             ).powers
         else:
             powers = tuple(rng.choice(levels, n).tolist())
-        assert nash_deviation_scan(net, grid, powers) == reference_scan(
-            net, grid, powers
-        )
-        profile = np.asarray(powers)
-        for i in rng.choice(n, min(n, 3), replace=False).tolist():
-            level_sinr = _unilateral_sinr(net, profile, levels, i)
-            for j in rng.choice(n_levels, min(n_levels, 5), replace=False).tolist():
-                candidate = list(powers)
-                candidate[i] = grid.levels[j]
-                assert level_sinr[j] == sinr(net, candidate, i)
+        scan = nash_deviation_scan(net, grid, powers)
+        assert scan == reference_scan(net, grid, powers)
+        if solved:
+            # the scan tests the solver's own inequality
+            assert scan == []
 
     @pytest.mark.parametrize("gain", [0.0, 1e-170])  # 1e-170 squared is 0
     def test_zero_squared_gain_certifies_at_p_max(self, gain):
@@ -462,6 +459,19 @@ class TestDeviationScan:
         assert nash_deviation_scan(net, grid, res.powers) == []
         # below p_max every higher level ranks above it
         assert nash_deviation_scan(net, grid, (8.0, 1.0)) == [(0, 9.0), (0, 10.0)]
+
+    def test_knife_edge_target_certifies(self):
+        # at p = 3, g^2*p/noise equals the target while the solver's
+        # (g^2/noise)*p rounds one ulp below it; the scan tests the latter
+        net = NetworkState(
+            nodes=(NodeConfig(0, 1.0, 10.0 ** (7.701212547196625 / 10.0)),),
+            noise_power=10.0 ** (-2.93 / 10.0),
+        )
+        grid = PowerGrid.linear(11, 10.0)
+        res = solve_nash_full_csi(net, grid)
+        assert res.powers == (4.0,)
+        assert sinr(net, (3.0,), 0) == net.nodes[0].sinr_threshold
+        assert nash_deviation_scan(net, grid, res.powers) == []
 
     def test_profile_length_must_match(self):
         with pytest.raises(ValueError, match="length"):

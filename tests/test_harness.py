@@ -48,8 +48,10 @@ class TestSpecValidation:
             population_spec(interference_fraction=-0.1)
         with pytest.raises(ValueError):
             population_spec(interference_fraction=1.1)
-        with pytest.raises(ValueError):
-            population_spec(solver="genie")
+        with pytest.raises(ValueError, match="unknown policy label 'genie'"):
+            population_spec(label="genie")
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            population_spec(truncation=-1)
         with pytest.raises(ValueError):
             population_spec(seed=-1)
         with pytest.raises(ValueError):
@@ -83,7 +85,7 @@ class TestSpecValidation:
         # with no sweep every trial would report its untouched start
         for cap in (0, -3):
             with pytest.raises(ValueError, match="sncpc_max_iter"):
-                population_spec(solver="sncpc", sncpc_max_iter=cap)
+                population_spec(label="SNCPC", sncpc_max_iter=cap)
         assert population_spec(sncpc_max_iter=1).sncpc_max_iter == 1
 
     def test_zero_active_rejected(self):
@@ -141,7 +143,7 @@ class TestDeterministicScenarios:
         assert m.power_ci == 0.0
 
     def test_equal_allocation_reports_full_power(self):
-        spec = population_spec(solver="epa")
+        spec = population_spec(label="EPA")
         m = run_scenario(spec)
         assert m.avg_power == 1.0  # default level is the grid top
         assert m.power_ci == 0.0
@@ -159,7 +161,7 @@ class TestReplay:
             sinr_threshold=0.02,
             noise_power=1e-3,
             conditioned_gain=0.6,
-            policy=EpistemicPolicy(moment_order=2, truncation=4),
+            label="M2",
             max_stages=2,
             trials=8,
             seed=7,
@@ -288,11 +290,11 @@ class TestAggregation:
         assert loose.stage_cap_fraction == 0.0
 
     def test_unconverged_solver_raises_warning_flag(self):
-        spec = population_spec(solver="sncpc", sncpc_max_iter=1)
+        spec = population_spec(label="SNCPC", sncpc_max_iter=1)
         m = run_scenario(spec)
         assert m.solver_failure_fraction > 0.01
         assert m.warning
-        healthy = run_scenario(population_spec(solver="sncpc"))
+        healthy = run_scenario(population_spec(label="SNCPC"))
         assert healthy.solver_failure_fraction == 0.0
         assert not healthy.warning
 
@@ -310,6 +312,24 @@ class TestSweeps:
         for label in ("M0X", "M7"):
             with pytest.raises(ValueError, match="expected one of"):
                 policy_spec(base, label)
+
+    @pytest.mark.parametrize(
+        "label, solver, order",
+        [
+            ("M1", "epistemic", 1),
+            ("M2", "epistemic", 2),
+            ("M3", "epistemic", 3),
+            ("M4", "epistemic", 4),
+            # the comparators report moment order 1, which they never read
+            ("EPA", "epa", 1),
+            ("SNCPC", "sncpc", 1),
+        ],
+    )
+    def test_label_names_solver_and_moment_order(self, label, solver, order):
+        spec = population_spec(label=label, truncation=3)
+        assert spec.solver == solver
+        assert spec.policy == EpistemicPolicy(moment_order=order, truncation=3)
+        assert policy_spec(population_spec(), label) == population_spec(label=label)
 
     def test_conditioned_sweep_rows(self):
         base = population_spec(trials=16, n_nodes=4)

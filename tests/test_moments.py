@@ -84,6 +84,12 @@ class TestGammaFit:
         with pytest.raises(ValueError):
             fit_gamma_mme((1.0, -2.0), lam=0.5)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_rate_must_be_finite_and_positive(self, lam):
+        # an infinite rate would fit theta_hat = 0
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            fit_gamma_mme((1.0, 2.0), lam=lam)
+
     def test_fit_interference_filters_silent_nodes(self):
         m = fit_interference((0.0, 1.0, 0.0, 3.0), lam=1.0, eta=2.0)
         assert m is not None
