@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EpistemicPolicy, inter_slope, intra_slope
-from .game import PowerGrid, select_lowest_feasible_batch
+from .game import PowerGrid, _ceil_index, select_lowest_feasible_batch
 from .moments import RayleighPrior, int_power, inverse_moment_value
 
 __all__ = [
@@ -186,7 +186,9 @@ def _sncpc_start(
     every iterate stays at or above it.  The margin makes the grid ceiling
     of that point a super-solution lying above the greatest grid fixed
     point: the sweep cannot raise it, and descends to the same point as
-    from all-p_max (Yates 1995; Tarski 1955).
+    from all-p_max (Yates 1995; Tarski 1955).  The ceiling comes from
+    ``game._ceil_index``: an interpolated index per node, checked against
+    its neighbours, with bisection only where the check fails.
     """
     n = g2.shape[1]
     p_max = levels[-1]
@@ -208,7 +210,7 @@ def _sncpc_start(
         if not np.count_nonzero(move):
             break
         total -= np.divide(gap, dgap, out=np.zeros_like(gap), where=move)
-    return levels.take(levels.searchsorted(x, side="left"), out=x)
+    return levels.take(_ceil_index(levels, x), out=x)
 
 
 def sncpc_response(

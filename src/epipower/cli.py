@@ -89,12 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--p-max", type=float, default=120.0)
     solve.add_argument("--max-stages", type=int, default=50,
                        help="sweep cap for epistemic / round cap for nash, sncpc")
-    solve.add_argument("--moment-order", type=int, default=1)
-    solve.add_argument("--truncation", type=int, default=4)
-    solve.add_argument("--epa-level", type=float, default=None)
-    solve.add_argument("--exhaustive", action="store_true",
-                       help="scan every grid level per update (reports true "
-                            "hypothesis-evaluation counts)")
+    solve.add_argument("--moment-order", type=int, default=None,
+                       help="epistemic only: SINR moment order (default 1)")
+    solve.add_argument("--truncation", type=int, default=None,
+                       help="epistemic only: series expansion order (default 4)")
+    solve.add_argument("--epa-level", type=float, default=None,
+                       help="epa only: the common power (default p_max)")
+    solve.add_argument("--exhaustive", action="store_true", default=None,
+                       help="epistemic only: scan every grid level per update "
+                            "(reports true hypothesis-evaluation counts)")
 
     fig = sub.add_parser("figure", help="run one of the canned Monte Carlo sweeps")
     fig.add_argument("number", type=int, choices=[3, 4, 5, 6])
@@ -141,6 +144,14 @@ def _cmd_fit_gamma(args) -> int:
 
 # -- solve -------------------------------------------------------------------
 
+# option dest -> the one scheme that reads it; any other scheme rejects it
+_SCHEME_OPTIONS = {
+    "moment_order": "epistemic",
+    "truncation": "epistemic",
+    "exhaustive": "epistemic",
+    "epa_level": "epa",
+}
+
 
 def _build_network(args) -> tuple[NetworkState, PowerGrid]:
     if len(args.gains) != len(args.thresholds_db):
@@ -172,11 +183,16 @@ def _print_profile(network: NetworkState, powers, feasible) -> None:
 
 def _cmd_solve(args) -> int:
     try:
+        for dest, scheme in _SCHEME_OPTIONS.items():
+            if getattr(args, dest) is not None and args.scheme != scheme:
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} applies only to solve {scheme}")
         network, grid = _build_network(args)
         prior = RayleighPrior(sigma=args.sigma)
-        policy = EpistemicPolicy(
-            moment_order=args.moment_order, truncation=args.truncation
-        )
+        policy = EpistemicPolicy(**{
+            dest: getattr(args, dest) for dest in ("moment_order", "truncation")
+            if getattr(args, dest) is not None
+        })
         if args.max_stages < 1:
             raise ValueError(f"--max-stages must be at least 1, got {args.max_stages}")
     except ValueError as exc:
@@ -202,7 +218,7 @@ def _cmd_solve(args) -> int:
             policy,
             prior,
             max_stages=args.max_stages,
-            exhaustive=args.exhaustive,
+            exhaustive=bool(args.exhaustive),
         )
         feasible = [n.feasible for n in outcome.nodes]
         _print_profile(network, outcome.profile, feasible)

@@ -85,20 +85,62 @@ class PowerGrid:
             raise ValueError(f"{power} is not a grid level")
         return idx
 
-    def ceil_to_grid(self, power: float) -> float | None:
-        """Smallest level >= power, or None if power exceeds the grid."""
-        arr = self.as_array()
-        idx = int(np.searchsorted(arr, power, side="left"))
-        if idx >= len(arr):
-            return None
-        return self.levels[idx]
-
     def select_lowest_feasible(self, slope: float, threshold: float) -> int | None:
         """Index of the lowest level p with slope*p >= threshold, else None."""
         # threshold/slope overflows for a tiny slope; the index is still exact
         with np.errstate(over="ignore"):
             idx = int(select_lowest_feasible_batch(self._array, slope, threshold))
         return None if idx < 0 else idx
+
+
+def _ceil_guess(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Interpolated guess at ``levels.searchsorted(x)``, as an int64 array.
+
+    ceil((clip(x, lo, hi + step/2) - lo) * (n - 1) / (hi - lo)), with lo,
+    hi and n read from ``levels``: the first probe of interpolation search
+    (Perl, Itai & Avni 1978), which on an evenly spaced grid misses only
+    keys within rounding of a level.  The clip keeps every product finite
+    for keys up to inf, and the half step caps the guess at n.  A grid of
+    one level, or whose scale or top is not finite, guesses 0 everywhere.
+    """
+    n = len(levels)
+    lo, hi = float(levels[0]), float(levels[-1])
+    scale = (n - 1) / (hi - lo) if n > 1 else 0.0
+    top = hi + 0.5 / scale if scale > 0.0 else np.inf
+    if not (scale < np.inf and top < np.inf):
+        return np.zeros(np.shape(x), dtype=np.int64)
+    t = np.maximum(x, lo)
+    np.minimum(t, top, out=t)
+    t -= lo
+    t *= scale
+    return np.ceil(t, out=t).astype(np.int64)
+
+
+def _ceil_index(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``levels.searchsorted(x, side="left")`` from an interpolated start.
+
+    A row keeps ``_ceil_guess`` when it brackets the key,
+    levels[idx - 1] < x <= levels[idx] (idx 0 and n are open ends), and
+    only the rows that miss are bisected.  On a linear grid almost none
+    miss, so a row costs O(1) in place of log2(n) probes; any other
+    increasing grid stays exact at about the bisection's cost.  One key is
+    bisected at once, which is cheaper than the guess's array passes.
+    ``x`` must not hold NaN.  Returns an int64 array of x's shape.
+    """
+    if x.ndim == 0:
+        return np.asarray(levels.searchsorted(x, side="left"))
+    n = len(levels)
+    idx = _ceil_guess(levels, x)
+    probe = np.empty(x.shape)
+    idx -= 1
+    levels.take(idx, mode="clip", out=probe)
+    miss = (probe >= x) & (idx >= 0)
+    idx += 1
+    levels.take(idx, mode="clip", out=probe)
+    miss |= (probe < x) & (idx < n)
+    if np.count_nonzero(miss):
+        idx[miss] = levels.searchsorted(x[miss], side="left")
+    return idx
 
 
 def select_lowest_feasible_batch(
@@ -108,12 +150,14 @@ def select_lowest_feasible_batch(
 
     The one grid selector: ``PowerGrid.select_lowest_feasible`` is its
     scalar form.  ``levels`` is a nonnegative increasing grid
-    (``PowerGrid.as_array()``).  Bisection on the required power
-    ``threshold/slope`` gives a start; the guard then steps each row down,
-    then up, until the predicate slope*level >= threshold (the one the
-    exhaustive scan in ``engine.NodeEngine`` uses) holds at the index and
-    fails just below it, so the index is exact however far rounding moved
-    the start.  The up-guard negates the predicate rather than testing
+    (``PowerGrid.as_array()``).  ``_ceil_index`` places the required power
+    ``threshold/slope`` on the grid: an interpolated start, checked per row,
+    with bisection only for the rows it misses (on the linear grids of the
+    benchmark workloads, none of 21M rows).  The guard then steps each row
+    down, then up, until the predicate slope*level >= threshold (the one
+    the exhaustive scan in ``engine.NodeEngine`` uses) holds at the index
+    and fails just below it, so the index is exact however far rounding
+    moved the start.  The up-guard negates the predicate rather than testing
     ``<``, so a NaN product (slope +inf at level 0) counts as infeasible.
     Slopes that are not positive (zero, negative, NaN) give -1, a
     nonpositive threshold gives 0 for every row, and ``slope`` is only
@@ -123,13 +167,13 @@ def select_lowest_feasible_batch(
     if threshold <= 0.0:
         return np.zeros(slope.shape, dtype=np.int64)
     # the S-NCPC sweep calls this once per node at a few hundred rows, where
-    # numpy's Python-level wrappers (np.full, np.searchsorted, ndarray.any)
-    # are about a fifth of a call; hence the method calls and count_nonzero
+    # numpy's Python-level wrappers (np.full, ndarray.any) are about a fifth
+    # of a call; hence the method calls and count_nonzero
     n_levels = len(levels)
     req = np.empty(slope.shape)
     req.fill(np.inf)
     np.divide(threshold, slope, out=req, where=slope > 0.0)
-    idx = np.asarray(levels.searchsorted(req, side="left"))
+    idx = _ceil_index(levels, req)
     # the predicate is monotone in the level, so each loop stops at the
     # boundary; both usually finish after one pass that moves no row
     while True:

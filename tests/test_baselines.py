@@ -52,7 +52,7 @@ class TestSharedPowerIteration:
         # prior-mean interference of the other
         for i in (0, 1):
             required = 0.3 * (res.powers[1 - i] / PRIOR.lam + 1.0) / 1.0
-            assert res.powers[i] == GRID.ceil_to_grid(required)
+            assert res.powers[i] == GRID.levels[np.searchsorted(GRID.levels, required)]
 
     def test_descent_from_full_power(self):
         # every iterate from the all-max seed only lowers interference,
@@ -91,7 +91,8 @@ class TestSharedPowerIteration:
                 others / PRIOR.lam + network.noise_power
             ) / node.gain_sq
             if res.feasible[i]:
-                assert res.powers[i] == GRID.ceil_to_grid(required)
+                ceil = GRID.levels[np.searchsorted(GRID.levels, required)]
+                assert res.powers[i] == ceil
             else:
                 assert required > GRID.p_max
                 assert res.powers[i] == GRID.p_max

@@ -160,7 +160,7 @@ class TestEpistemicParity:
             req = 0.5 * 0.1 / (g * g)
             if req <= grid.p_max:
                 assert ok
-                assert p == grid.ceil_to_grid(req)
+                assert p == grid.levels[np.searchsorted(grid.levels, req)]
             else:
                 assert not ok
                 assert p == grid.p_max

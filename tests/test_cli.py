@@ -110,6 +110,15 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
         # a finite gain whose square overflows
         ("solve", "epistemic", "--gains", "1e200,1", "--thresholds-db", "0,0"),
         ("solve", "nash", "--gains", "1e200,1", "--thresholds-db", "0,0"),
+        # an option the scheme does not read
+        ("solve", "sncpc", *TWO_NODES, "--moment-order", "4", "--exhaustive",
+         "--truncation", "2"),
+        ("solve", "nash", *TWO_NODES, "--moment-order", "1"),
+        ("solve", "epa", *TWO_NODES, "--truncation", "4"),
+        ("solve", "sncpc", *TWO_NODES, "--exhaustive"),
+        ("solve", "nash", *TWO_NODES, "--epa-level", "120"),
+        ("solve", "epistemic", *TWO_NODES, "--epa-level", "120"),
+        ("solve", "sncpc", *TWO_NODES, "--epa-level", "120"),
     ],
     ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
 )

@@ -1,6 +1,7 @@
 """The per-node belief loop: rival simulation, own selection, convergence."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,7 +87,7 @@ class TestSingleSweep:
         eta = 0.8 * 0.8 * GRID.p_max + 1.0
         slope = (1.0 / PRIOR.lam) / eta
         required = 0.5 / slope  # 1.85 -> next level up
-        assert eng.believed[1] == GRID.ceil_to_grid(required)
+        assert eng.believed[1] == GRID.levels[np.searchsorted(GRID.levels, required)]
         assert eng.believed[1] == pytest.approx(1.9)
         exact = inter_slope(1, PRIOR.lam, 1.0 / eta)
         assert exact == pytest.approx(slope, rel=1e-15)
@@ -114,7 +115,7 @@ class TestSingleSweep:
         # closed form: slope sqrt(2)/(lam eta) -> p = thr lam eta / sqrt(2)
         eta = 0.8 * 0.8 * GRID.p_max + 1.0
         required = 0.5 * PRIOR.lam * eta / math.sqrt(2.0)
-        assert second.believed[1] == GRID.ceil_to_grid(required)
+        assert second.believed[1] == GRID.levels[np.searchsorted(GRID.levels, required)]
 
     def test_rival_order_does_not_matter(self):
         rivals = ((1, 0.5), (2, 0.2), (3, 0.9))
@@ -130,7 +131,8 @@ class TestSingleSweep:
         eng = engine(rivals=())
         eng.step()
         # no interferers: requirement is exactly thr * noise / g^2 = 0.46875
-        assert eng.own_power == GRID.ceil_to_grid(0.3 * 1.0 / 0.64)
+        required = 0.3 * 1.0 / 0.64
+        assert eng.own_power == GRID.levels[np.searchsorted(GRID.levels, required)]
         assert eng.own_power == 0.5
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epipower import game
 from epipower.game import (
     NetworkState,
     NodeConfig,
@@ -83,13 +84,6 @@ class TestPowerGrid:
         # about 90 KB: the levels tuple, not a second copy as an array
         assert len(blob) < len(pickle.dumps(grid.levels)) + 1024
 
-    def test_ceil_to_grid(self):
-        grid = PowerGrid(levels=(0.0, 0.3, 0.7, 1.0))
-        assert grid.ceil_to_grid(0.3) == 0.3
-        assert grid.ceil_to_grid(0.31) == 0.7
-        assert grid.ceil_to_grid(-5.0) == 0.0
-        assert grid.ceil_to_grid(1.0001) is None
-
     def test_select_lowest_feasible_examples(self):
         grid = PowerGrid.linear(11, 1.0)
         # slope 2: need p >= 0.5 for the statistic to reach 1
@@ -133,6 +127,83 @@ class TestPowerGrid:
                     want = i
                     break
         assert got == want
+
+
+def _linear_grid(n_levels, p_max, p_min_frac):
+    return PowerGrid.linear(n_levels, p_max, p_min_frac * p_max)
+
+
+def _geometric_grid(n_levels, lowest, ratio):
+    levels = np.geomspace(lowest, lowest * ratio, n_levels)
+    return PowerGrid(levels=tuple(float(p) for p in levels))
+
+
+GRIDS = st.one_of(
+    st.builds(
+        _linear_grid,
+        st.integers(min_value=2, max_value=10001),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.9)),
+    ),
+    st.builds(
+        _geometric_grid,
+        st.integers(min_value=2, max_value=300),
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=2.0, max_value=1e6),
+    ),
+    # one level; a span whose scale overflows; a top step that overflows
+    st.sampled_from([
+        PowerGrid((0.5,)),
+        PowerGrid((0.0, 5e-324)),
+        PowerGrid((0.0, 1e308, 1.7e308)),
+    ]),
+)
+
+
+def grid_keys(levels):
+    """Every level and its two neighbouring floats, plus the extremes."""
+    lo, hi = float(levels[0]), float(levels[-1])  # Python floats overflow quietly
+    extremes = [-np.inf, -1.0, lo / 2, 0.0, 2.0 * hi, 1e308, np.inf]
+    return np.concatenate([
+        levels, np.nextafter(levels, np.inf), np.nextafter(levels, -np.inf),
+        extremes,
+    ])
+
+
+class TestCeilIndex:
+    """game._ceil_index is levels.searchsorted(x, side="left"), exactly."""
+
+    @given(grid=GRIDS)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_searchsorted_without_warnings(self, grid):
+        levels = grid.as_array()
+        keys = grid_keys(levels)
+        want = levels.searchsorted(keys, side="left")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = game._ceil_index(levels, keys)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            # n-d keys keep their shape
+            cube = game._ceil_index(levels, keys[None, :, None])
+            assert cube.shape == (1, keys.size, 1)
+            assert np.array_equal(cube.ravel(), want)
+            # 0-d keys give 0-d indices
+            for j in (0, len(levels) - 1, -7, -4, -1):
+                one = game._ceil_index(levels, np.asarray(keys[j]))
+                assert one.shape == () and one == want[j]
+            # the guess alone never warns either, and stays within 0..n
+            guess = game._ceil_guess(levels, keys)
+            assert guess.min() >= 0 and guess.max() <= len(levels)
+
+    @pytest.mark.parametrize("n_levels", [1001, 10001])
+    def test_guess_alone_is_right_on_a_linear_grid(self, n_levels):
+        # the exact check behind the guess would hide a broken guess, at
+        # the bisection's cost: pin the guess itself
+        levels = PowerGrid.linear(n_levels, 1.0).as_array()
+        keys = np.random.default_rng(14).uniform(0.0, 1.0, 100_000)
+        hits = game._ceil_guess(levels, keys) == levels.searchsorted(keys)
+        assert hits.mean() >= 0.999
 
 
 class TestNetworkGeometry:
