@@ -10,6 +10,7 @@ deviation scan certifies the full-CSI fixed point.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,8 +49,8 @@ class PowerGrid:
     def linear(cls, n_levels: int, p_max: float, p_min: float = 0.0) -> "PowerGrid":
         if n_levels < 2:
             raise ValueError("linear grid needs at least two levels")
-        if not p_max > p_min:
-            raise ValueError("p_max must exceed p_min")
+        if not p_min < p_max < np.inf:
+            raise ValueError("p_max must be finite and exceed p_min")
         pts = np.linspace(p_min, p_max, n_levels)
         return cls(levels=tuple(float(p) for p in pts))
 
@@ -79,18 +80,34 @@ class PowerGrid:
         return self._array
 
     def index_of(self, power: float) -> int:
-        arr = self.as_array()
-        idx = int(np.searchsorted(arr, power))
-        if idx >= len(arr) or arr[idx] != power:
+        idx = bisect.bisect_left(self.levels, power)
+        if idx >= len(self.levels) or self.levels[idx] != power:
             raise ValueError(f"{power} is not a grid level")
         return idx
 
     def select_lowest_feasible(self, slope: float, threshold: float) -> int | None:
         """Index of the lowest level p with slope*p >= threshold, else None."""
-        # threshold/slope overflows for a tiny slope; the index is still exact
-        with np.errstate(over="ignore"):
-            idx = int(select_lowest_feasible_batch(self._array, slope, threshold))
-        return None if idx < 0 else idx
+        return _lowest_feasible(self.levels, slope, threshold)
+
+
+def _lowest_feasible(levels: tuple, slope: float, threshold: float) -> int | None:
+    """Lowest index with slope*levels[idx] >= threshold; None if none.
+
+    ``select_lowest_feasible_batch`` for one slope, in Python floats, which
+    divide by a tiny slope to inf silently (numpy's float64 warns).  The
+    sweep calls it, not the traced method, so perfbench counts its time once.
+    """
+    slope, threshold = float(slope), float(threshold)
+    if threshold <= 0.0:
+        return 0
+    if not slope > 0.0:
+        return None
+    idx = bisect.bisect_left(levels, threshold / slope)
+    while idx > 0 and slope * levels[idx - 1] >= threshold:
+        idx -= 1
+    while idx < len(levels) and not slope * levels[idx] >= threshold:
+        idx += 1
+    return idx if idx < len(levels) else None
 
 
 def _ceil_guess(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -123,12 +140,9 @@ def _ceil_index(levels: np.ndarray, x: np.ndarray) -> np.ndarray:
     levels[idx - 1] < x <= levels[idx] (idx 0 and n are open ends), and
     only the rows that miss are bisected.  On a linear grid almost none
     miss, so a row costs O(1) in place of log2(n) probes; any other
-    increasing grid stays exact at about the bisection's cost.  One key is
-    bisected at once, which is cheaper than the guess's array passes.
-    ``x`` must not hold NaN.  Returns an int64 array of x's shape.
+    increasing grid stays exact at about the bisection's cost.  ``x`` (not
+    0-d) must not hold NaN.  Returns an int64 array of x's shape.
     """
-    if x.ndim == 0:
-        return np.asarray(levels.searchsorted(x, side="left"))
     n = len(levels)
     idx = _ceil_guess(levels, x)
     probe = np.empty(x.shape)
@@ -148,20 +162,18 @@ def select_lowest_feasible_batch(
 ) -> np.ndarray:
     """Per-row lowest grid index with slope*level >= threshold; -1 if none.
 
-    The one grid selector: ``PowerGrid.select_lowest_feasible`` is its
-    scalar form.  ``levels`` is a nonnegative increasing grid
-    (``PowerGrid.as_array()``).  ``_ceil_index`` places the required power
-    ``threshold/slope`` on the grid: an interpolated start, checked per row,
-    with bisection only for the rows it misses (on the linear grids of the
-    benchmark workloads, none of 21M rows).  The guard then steps each row
-    down, then up, until the predicate slope*level >= threshold (the one
-    the exhaustive scan in ``engine.NodeEngine`` uses) holds at the index
-    and fails just below it, so the index is exact however far rounding
-    moved the start.  The up-guard negates the predicate rather than testing
-    ``<``, so a NaN product (slope +inf at level 0) counts as infeasible.
-    Slopes that are not positive (zero, negative, NaN) give -1, a
-    nonpositive threshold gives 0 for every row, and ``slope`` is only
-    read.  A 0-d slope gives a 0-d index.
+    The array grid selector; ``_lowest_feasible`` is its scalar form.
+    ``levels`` is a nonnegative increasing grid (``PowerGrid.as_array()``)
+    and ``slope`` an array of one or more dimensions, only read.
+    ``_ceil_index`` places the required power ``threshold/slope`` on the
+    grid: an interpolated start, checked per row, with bisection only for
+    the rows it misses (on the linear grids of the benchmark workloads,
+    none of 21M rows).  The guard then steps each row down, then up, until
+    the predicate holds at the index and fails just below it, so the index
+    is exact however far rounding moved the start.  The up-guard negates
+    the predicate rather than testing ``<``, so a NaN product (slope +inf
+    at level 0) counts as infeasible.  Slopes that are not positive (zero,
+    negative, NaN) give -1; a nonpositive threshold gives 0 for every row.
     """
     slope = np.asarray(slope, dtype=np.float64)
     if threshold <= 0.0:
@@ -269,13 +281,10 @@ def best_response_sweeps(
     marked infeasible, when none does.  Nodes update in id order, each
     seeing the updates before it; an unchanged sweep is a fixed point.
     Full CSI weighs rivals by their true squared gains (scale 1); S-NCPC
-    puts every rival gain at its prior mean (weights 1, scale lam).  The
-    inline selection is exact for the predicate slope*level >= threshold,
-    as ``select_lowest_feasible_batch`` is, at under half a 0-d call's cost.
+    puts every rival gain at its prior mean (weights 1, scale lam).
     """
     g2 = network.gains_sq()
     thr = [n.sinr_threshold for n in network.nodes]
-    levels = grid.as_array()
     powers = np.array(start, dtype=np.float64)
     wp = weights * powers
     feasible = np.ones(len(network), dtype=bool)
@@ -285,13 +294,9 @@ def best_response_sweeps(
         entry = powers.copy()
         for i in range(len(network)):
             slope = g2[i] / ((wp.sum() - wp[i]) / scale + network.noise_power)
-            idx = int(np.searchsorted(slope * levels, thr[i], side="left"))
-            while idx > 0 and slope * levels[idx - 1] >= thr[i]:
-                idx -= 1
-            while idx < len(levels) and not slope * levels[idx] >= thr[i]:
-                idx += 1
-            feasible[i] = idx < len(levels)
-            powers[i] = levels[idx] if feasible[i] else grid.p_max
+            idx = _lowest_feasible(grid.levels, slope, thr[i])
+            feasible[i] = idx is not None
+            powers[i] = grid.levels[idx] if feasible[i] else grid.p_max
             wp[i] = weights[i] * powers[i]
         converged = np.array_equal(powers, entry)
     return tuple(powers.tolist()), tuple(feasible.tolist()), rounds, converged

@@ -89,10 +89,9 @@ class TestBatchSelector:
             assert [grid.index_of(p) if ok else -1 for p, ok in scan] == want
         # slope +inf meets the target at level 1: inf * 0.0 at level 0 is NaN
         assert got.tolist() == [-1, -1, -1, -1, -1, 1, 1, -1]
-        # a 0-d slope gives a 0-d index, as the scalar selector would
-        for s, want in ((0.6, 9), (0.0, -1)):
-            got = select_lowest_feasible_batch(grid.as_array(), np.float64(s), 0.5)
-            assert got.shape == () and int(got) == want
+        # the scalar selector gives the same answers for numpy scalars
+        assert grid.select_lowest_feasible(np.float64(0.6), 0.5) == 9
+        assert grid.select_lowest_feasible(np.float64(0.0), 0.5) is None
 
     def test_slope_argument_is_not_written(self):
         levels = PowerGrid.linear(11, 1.0).as_array()

@@ -107,6 +107,7 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
         ("solve", "sncpc", "--gains", "1,inf", "--thresholds-db", "0,0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "nan", "--moment", "1"),
         ("fit-gamma", "--powers", "1,2", "--rate", "inf"),
+        ("solve", "sncpc", "--gains", "1", "--thresholds-db", "0", "--p-max", "inf"),
         # a finite gain whose square overflows
         ("solve", "epistemic", "--gains", "1e200,1", "--thresholds-db", "0,0"),
         ("solve", "nash", "--gains", "1e200,1", "--thresholds-db", "0,0"),
@@ -430,6 +431,7 @@ class TestFigure:
             # a trial index must fit one 32-bit seed word
             (5, "scenario", "trials = 4294967297"),
             (4, "policy", "label = M7"),
+            (5, "grid", "p_max_linear = inf"),
         ],
     )
     def test_out_of_range_value_is_usage_error(

@@ -104,6 +104,11 @@ class TestPowerGrid:
             assert grid.select_lowest_feasible(1e-300, 0.5) is None
             assert grid.select_lowest_feasible(5e-324, 0.5) is None
             assert grid.select_lowest_feasible(1e-300, 1e10) is None
+            # numpy scalars, as the best-response sweep passes them
+            for slope in (np.float64(5e-324), np.float64(1e-300)):
+                assert grid.select_lowest_feasible(slope, 0.5) is None
+                assert grid.select_lowest_feasible(slope, np.float64(0.5)) is None
+            assert grid.select_lowest_feasible(5e-324, np.float64(0.5)) is None
 
     @given(
         n=st.integers(min_value=1, max_value=40),
@@ -188,10 +193,6 @@ class TestCeilIndex:
             cube = game._ceil_index(levels, keys[None, :, None])
             assert cube.shape == (1, keys.size, 1)
             assert np.array_equal(cube.ravel(), want)
-            # 0-d keys give 0-d indices
-            for j in (0, len(levels) - 1, -7, -4, -1):
-                one = game._ceil_index(levels, np.asarray(keys[j]))
-                assert one.shape == () and one == want[j]
             # the guess alone never warns either, and stays within 0..n
             guess = game._ceil_guess(levels, keys)
             assert guess.min() >= 0 and guess.max() <= len(levels)
@@ -421,8 +422,9 @@ class TestNashSolver:
     )
     @settings(max_examples=150, deadline=None)
     def test_profile_is_the_one_selectors_choice(self, seed, p_min):
-        # the sweep selects inline; every node of the returned profile must
-        # sit where select_lowest_feasible_batch puts it for its final slope
+        # the sweep selects with the scalar routine; every node of the
+        # returned profile must sit where the array selector puts it for
+        # its final slope
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         gains = rng.uniform(0.2, 2.0, n)
@@ -446,7 +448,7 @@ class TestNashSolver:
             for i, node in enumerate(nodes):
                 slope = g2[i] / ((wp.sum() - wp[i]) + net.noise_power)
                 thr = node.sinr_threshold
-                idx = int(select_lowest_feasible_batch(levels, slope, thr))
+                idx = int(select_lowest_feasible_batch(levels, np.array([slope]), thr)[0])
                 if idx < 0:
                     assert res.powers[i] == grid.p_max and not res.feasible[i]
                 else:
