@@ -1,7 +1,7 @@
 """Reference strategies the belief-driven scheme is judged against.
 
 S-NCPC is the full-CSI Gauss–Seidel best-response sweep of ``game``
-played against the prior-mean gain; EPA is a fixed common level.
+played against the prior-mean gain; EPA transmits at p_max.
 """
 from __future__ import annotations
 
@@ -15,12 +15,9 @@ from .moments import RayleighPrior
 __all__ = ["epa_profile", "sncpc_solve", "SncpcResult"]
 
 
-def epa_profile(
-    network: NetworkState, grid: PowerGrid, level: float
-) -> tuple[float, ...]:
-    """Equal power allocation: every node transmits at the agreed grid level."""
-    grid.index_of(float(level))
-    return tuple(float(level) for _ in network.nodes)
+def epa_profile(network: NetworkState, grid: PowerGrid) -> tuple[float, ...]:
+    """Equal power allocation: every node transmits at the grid's p_max."""
+    return (grid.p_max,) * len(network)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,12 @@ import numpy as np
 
 from .engine import EpistemicPolicy, inter_slope, intra_slope
 from .game import PowerGrid, _ceil_index, select_lowest_feasible_batch
-from .moments import RayleighPrior, int_power, inverse_moment_value
+from .moments import (
+    DEFAULT_TRUNCATION,
+    RayleighPrior,
+    int_power,
+    inverse_moment_value,
+)
 
 __all__ = [
     "BatchEpistemicResult",
@@ -84,7 +89,6 @@ def epistemic_response(
     n_rows = gains.shape[0]
     levels = grid.as_array()
     k = policy.moment_order
-    trunc = policy.truncation
     lam = prior.lam
     g2 = gains * gains
 
@@ -118,7 +122,7 @@ def epistemic_response(
             else:
                 alpha, theta = _erlang_params(n_rival_others, e, lam)
                 series_r, _, _ = inverse_moment_value(
-                    alpha, theta, eta_rival, k, trunc
+                    alpha, theta, eta_rival, k, DEFAULT_TRUNCATION
                 )
             pos = series_r > 0.0
             slope_r = inter_slope(k, lam, np.where(pos, series_r, 1.0))
@@ -129,7 +133,7 @@ def epistemic_response(
             # own pass against refreshed beliefs
             alpha, theta = _erlang_params(n_own_others, e_new, lam)
             series_o, _, _ = inverse_moment_value(
-                alpha, theta, noise_power, k, trunc
+                alpha, theta, noise_power, k, DEFAULT_TRUNCATION
             )
         pos = series_o > 0.0
         slope_o = np.where(pos, intra_slope(k, g2r, np.where(pos, series_o, 1.0)), 0.0)

@@ -24,7 +24,7 @@ from .game import (
     sinr,
     solve_nash_full_csi,
 )
-from .harness import db_to_linear, run_scenario, sweep
+from .harness import _POLICIES, POLICY_LABELS, db_to_linear, sweep
 from .moments import (
     RayleighPrior,
     fit_gamma_mme,
@@ -34,6 +34,9 @@ from .moments import (
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_USAGE = 2
+
+# the figure labels plus full-information Nash, which only solve plays
+_SOLVE_LABELS = (*POLICY_LABELS, "NASH")
 
 
 def _float_list(text: str) -> list[float]:
@@ -76,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="expansion order of the inverse-moment series")
 
     solve = sub.add_parser("solve", help="solve one small network explicitly")
-    solve.add_argument("scheme", choices=["nash", "epistemic", "epa", "sncpc"])
+    solve.add_argument("label", help="the policy: " + ", ".join(_SOLVE_LABELS))
     solve.add_argument("--gains", type=_float_list, required=True,
                        help="true channel amplitudes, one per node")
     solve.add_argument("--thresholds-db", type=_float_list, required=True,
@@ -88,15 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--grid-levels", type=int, default=1201)
     solve.add_argument("--p-max", type=float, default=120.0)
     solve.add_argument("--max-stages", type=int, default=50,
-                       help="sweep cap for epistemic / round cap for nash, sncpc")
-    solve.add_argument("--moment-order", type=int, default=None,
-                       help="epistemic only: SINR moment order (default 1)")
-    solve.add_argument("--truncation", type=int, default=None,
-                       help="epistemic only: series expansion order (default 4)")
-    solve.add_argument("--epa-level", type=float, default=None,
-                       help="epa only: the common power (default p_max)")
-    solve.add_argument("--exhaustive", action="store_true", default=None,
-                       help="epistemic only: scan every grid level per update "
+                       help="sweep cap for M1..M4 / round cap for NASH, SNCPC")
+    solve.add_argument("--exhaustive", action="store_true",
+                       help="M1..M4 only: scan every grid level per update "
                             "(reports true hypothesis-evaluation counts)")
 
     fig = sub.add_parser("figure", help="run one of the canned Monte Carlo sweeps")
@@ -144,14 +141,6 @@ def _cmd_fit_gamma(args) -> int:
 
 # -- solve -------------------------------------------------------------------
 
-# option dest -> the one scheme that reads it; any other scheme rejects it
-_SCHEME_OPTIONS = {
-    "moment_order": "epistemic",
-    "truncation": "epistemic",
-    "exhaustive": "epistemic",
-    "epa_level": "epa",
-}
-
 
 def _build_network(args) -> tuple[NetworkState, PowerGrid]:
     if len(args.gains) != len(args.thresholds_db):
@@ -183,23 +172,22 @@ def _print_profile(network: NetworkState, powers, feasible) -> None:
 
 def _cmd_solve(args) -> int:
     try:
-        for dest, scheme in _SCHEME_OPTIONS.items():
-            if getattr(args, dest) is not None and args.scheme != scheme:
-                flag = "--" + dest.replace("_", "-")
-                raise ValueError(f"{flag} applies only to solve {scheme}")
+        if args.label not in _SOLVE_LABELS:
+            raise ValueError(
+                f"unknown policy label {args.label!r}; expected one of {_SOLVE_LABELS}"
+            )
+        solver, moment_order = _POLICIES.get(args.label, ("nash", None))
+        if args.exhaustive and solver != "epistemic":
+            raise ValueError(f"--exhaustive applies only to M1..M4, not {args.label}")
         network, grid = _build_network(args)
         prior = RayleighPrior(sigma=args.sigma)
-        policy = EpistemicPolicy(**{
-            dest: getattr(args, dest) for dest in ("moment_order", "truncation")
-            if getattr(args, dest) is not None
-        })
         if args.max_stages < 1:
             raise ValueError(f"--max-stages must be at least 1, got {args.max_stages}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.scheme == "nash":
+    if solver == "nash":
         try:
             result = solve_nash_full_csi(network, grid, max_rounds=args.max_stages)
         except NonConvergenceError as exc:
@@ -211,14 +199,14 @@ def _cmd_solve(args) -> int:
         print(f"profitable_deviations = {len(deviations)}")
         return EXIT_SOLVER if deviations else EXIT_OK
 
-    if args.scheme == "epistemic":
+    if solver == "epistemic":
         outcome = run_epistemic_game(
             network,
             grid,
-            policy,
+            EpistemicPolicy(moment_order),
             prior,
             max_stages=args.max_stages,
-            exhaustive=bool(args.exhaustive),
+            exhaustive=args.exhaustive,
         )
         feasible = [n.feasible for n in outcome.nodes]
         _print_profile(network, outcome.profile, feasible)
@@ -230,14 +218,8 @@ def _cmd_solve(args) -> int:
         print(f"total_evaluations = {outcome.eu_evaluations}")
         return EXIT_OK if outcome.converged else EXIT_SOLVER
 
-    if args.scheme == "epa":
-        level = args.epa_level if args.epa_level is not None else grid.p_max
-        try:
-            powers = epa_profile(network, grid, level)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        _print_profile(network, powers, [True] * len(network))
+    if solver == "epa":
+        _print_profile(network, epa_profile(network, grid), [True] * len(network))
         return EXIT_OK
 
     result = sncpc_solve(network, grid, prior, max_iter=args.max_stages)

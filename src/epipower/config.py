@@ -38,9 +38,7 @@ _KEYS: dict[str, tuple[str, str | None]] = {
     "levels": ("int", None),
     "p_max_linear": ("float", None),
     "label": ("str", "label"),
-    "truncation": ("int", "truncation"),
     "max_stages": ("int", "max_stages"),
-    "epa_level_linear": ("float", "epa_level"),
     "sncpc_max_iter": ("int", "sncpc_max_iter"),
     "gains_linear": ("floats", None),
     "thresholds_db": ("floats", None),
@@ -58,8 +56,7 @@ _COMMON_DEFAULTS: dict[str, dict[str, str]] = {
         "workers": "1",
     },
     "grid": {"p_max_linear": "1.0"},
-    "policy": {"truncation": "4"},
-    "baselines": {"epa_level_linear": "1.0", "sncpc_max_iter": "2000"},
+    "baselines": {"sncpc_max_iter": "2000"},
 }
 
 # conditioned-node sweeps: everyone transmits, shallow reasoning; the axes

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .game import NetworkState, PowerGrid
 from .moments import (
+    DEFAULT_TRUNCATION,
     RayleighPrior,
     fit_interference,
     int_power,
@@ -41,21 +42,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpistemicPolicy:
-    """Selection rule: which SINR moment to trust and how deep to expand it.
+    """Selection rule: which SINR moment to trust.
 
     moment_order 1 uses the plain mean; orders 2..4 compare the k-th
     root of the k-th raw moment against the target, which increasingly
     discounts hypotheses whose predicted SINR is merely high on average.
+    The inverse-moment series is expanded to ``DEFAULT_TRUNCATION``.
     """
 
     moment_order: int = 1
-    truncation: int = 4
 
     def __post_init__(self) -> None:
-        if self.moment_order < 1:
-            raise ValueError(f"moment_order must be >= 1, got {self.moment_order}")
-        if self.truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
+        if not 1 <= self.moment_order <= 4:
+            raise ValueError(f"moment_order must be 1..4, got {self.moment_order}")
 
 
 def inter_slope(k: int, lam: float, series_value: float) -> float:
@@ -146,7 +145,7 @@ class NodeEngine:
         model = fit_interference(powers, self.prior.lam, eta)
         if model is None:
             return 1.0 / int_power(eta, k)
-        return inverse_shifted_moment(model, k, self.policy.truncation).value
+        return inverse_shifted_moment(model, k, DEFAULT_TRUNCATION).value
 
     def _update(self, slope: float, threshold: float) -> tuple[float, bool]:
         """Lowest level p with slope*p >= threshold and True; (p_max, False) if none.

@@ -79,12 +79,6 @@ class PowerGrid:
         """The levels as a read-only float64 array, built once per grid."""
         return self._array
 
-    def index_of(self, power: float) -> int:
-        idx = bisect.bisect_left(self.levels, power)
-        if idx >= len(self.levels) or self.levels[idx] != power:
-            raise ValueError(f"{power} is not a grid level")
-        return idx
-
     def select_lowest_feasible(self, slope: float, threshold: float) -> int | None:
         """Index of the lowest level p with slope*p >= threshold, else None."""
         return _lowest_feasible(self.levels, slope, threshold)

@@ -59,7 +59,7 @@ class ScenarioSpec:
     """Everything one Monte Carlo evaluation point depends on.
 
     ``label`` names the policy (one of ``POLICY_LABELS``); ``solver`` and
-    ``policy`` are read from it, with ``truncation`` for the belief series.
+    ``policy`` are read from it.  EPA transmits at the grid's p_max.
     """
 
     grid: PowerGrid
@@ -69,9 +69,7 @@ class ScenarioSpec:
     sinr_threshold: float = 0.01
     interference_fraction: float = 1.0
     label: str = "M1"
-    truncation: int = 4
     max_stages: int = 1
-    epa_level: float | None = None
     sncpc_max_iter: int = 2000
     trials: int = 10000
     seed: int = 42
@@ -92,7 +90,6 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown policy label {self.label!r}; expected one of {POLICY_LABELS}"
             )
-        self.policy  # raises on a negative truncation
         if self.max_stages < 1:
             raise ValueError("max_stages must be at least 1")
         if self.sncpc_max_iter < 1:
@@ -111,12 +108,6 @@ class ScenarioSpec:
             raise ValueError("conditioned_gain must be positive with a finite square")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.epa_level is not None:
-            try:
-                self.grid.index_of(self.epa_level)
-            except ValueError as exc:
-                msg = f"epa_level {exc} ([baselines] epa_level_linear)"
-                raise ValueError(msg) from None
         if self.active_count < 1:
             raise ValueError(
                 "scenario has no transmitters; raise "
@@ -141,9 +132,7 @@ class ScenarioSpec:
 
     @property
     def policy(self) -> EpistemicPolicy:
-        return EpistemicPolicy(
-            moment_order=_POLICIES[self.label][1], truncation=self.truncation
-        )
+        return EpistemicPolicy(moment_order=_POLICIES[self.label][1])
 
 
 @dataclass(frozen=True)
@@ -295,8 +284,7 @@ def _run_chunk(spec: ScenarioSpec, chunk_index: int):
         powers = res.powers.reshape(gains.shape)
         capped_rows = int((~res.converged).sum())
     elif spec.solver == "epa":
-        level = spec.epa_level if spec.epa_level is not None else spec.grid.p_max
-        powers = np.full(gains.shape, float(level))
+        powers = np.full(gains.shape, spec.grid.p_max)
     else:
         res = sncpc_response(
             gains,

@@ -40,7 +40,7 @@ MOMENT_POLICIES = ("M1", "M2", "M3", "M4")
 
 # belief games of the criterion 5d/5e oracle instances
 SMALL_PRIOR = RayleighPrior(sigma=1.0)
-SMALL_POLICY = EpistemicPolicy(moment_order=1, truncation=4)
+SMALL_POLICY = EpistemicPolicy(moment_order=1)
 SMALL_STAGES = 8
 
 C5_TIMES: dict[str, float] = {}

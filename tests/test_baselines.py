@@ -20,16 +20,7 @@ def net(*specs, noise=1.0):
 class TestEqualAllocation:
     def test_profile_is_constant(self):
         network = net((1.0, 0.3), (0.5, 0.3), (0.8, 0.3))
-        assert epa_profile(network, GRID, 0.5) == (0.5, 0.5, 0.5)
-
-    def test_zero_level_allowed_when_on_grid(self):
-        network = net((1.0, 0.3), (0.5, 0.3))
-        assert epa_profile(network, GRID, 0.0) == (0.0, 0.0)
-
-    def test_off_grid_level_rejected(self):
-        network = net((1.0, 0.3))
-        with pytest.raises(ValueError, match="not a grid level"):
-            epa_profile(network, GRID, 0.55)
+        assert epa_profile(network, GRID) == (2.0, 2.0, 2.0)
 
 
 class TestSharedPowerIteration:

@@ -86,7 +86,7 @@ class TestBatchSelector:
             scan = [node._update(float(s), threshold) for s in slopes]
             assert got.tolist() == want
             assert scalar == want
-            assert [grid.index_of(p) if ok else -1 for p, ok in scan] == want
+            assert [grid.levels.index(p) if ok else -1 for p, ok in scan] == want
         # slope +inf meets the target at level 1: inf * 0.0 at level 0 is NaN
         assert got.tolist() == [-1, -1, -1, -1, -1, 1, 1, -1]
         # the scalar selector gives the same answers for numpy scalars
@@ -134,7 +134,7 @@ class TestEpistemicParity:
         gains = rng.rayleigh(scale=1.0, size=24)
         grid = PowerGrid.linear(257, 2.0)
         prior = RayleighPrior(sigma=1.0)
-        policy = EpistemicPolicy(moment_order=k, truncation=4)
+        policy = EpistemicPolicy(moment_order=k)
         threshold, noise, stages = 0.02, 1e-3, 3
         res = epistemic_response(
             gains, n_active, threshold, noise, grid, policy, prior, stages
@@ -206,7 +206,7 @@ class TestScaleInvariance:
     def test_batch_indices_unchanged(self, m, k):
         rng = np.random.default_rng(40 + k)
         prior = RayleighPrior(sigma=1.0)
-        policy = EpistemicPolicy(moment_order=k, truncation=4)
+        policy = EpistemicPolicy(moment_order=k)
         for n_active, n_levels, thr_db, stages in self.SETTINGS:
             gains = rng.rayleigh(scale=1.0, size=256)
             grid = PowerGrid.linear(n_levels, 1.0)

@@ -7,6 +7,7 @@ import pytest
 from epipower import cli
 from epipower.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from epipower.config import load_run_config
+from epipower.engine import EpistemicPolicy
 from epipower.game import NashResult
 
 FAST_SWEEP = """
@@ -59,8 +60,8 @@ def test_readme_transcripts_match(capsys):
     examples = readme_examples()
     assert [argv[:2] for argv, _ in examples] == [
         ["fit-gamma", "--powers"],
-        ["solve", "nash"],
-        ["solve", "epistemic"],
+        ["solve", "NASH"],
+        ["solve", "M1"],
     ]
     for argv, expected in examples:
         code, out, _ = run(capsys, *argv)
@@ -68,12 +69,13 @@ def test_readme_transcripts_match(capsys):
         assert out.splitlines() == expected, argv
 
 
-@pytest.mark.parametrize("scheme", ["nash", "sncpc", "nash_zero_gain"])
+@pytest.mark.parametrize("scheme", ["nash", "sncpc", "nash_zero_gain", "M4", "EPA"])
 def test_solve_transcripts_match_goldens(capsys, scheme):
-    # tests/golden/solve.sh wrote these: for nash and sncpc a run to
-    # convergence, then one capped at a single sweep (Nash fails, S-NCPC
-    # reports converged = False); for nash_zero_gain two certified Nash
-    # runs whose node 0 has a zero squared gain
+    # tests/golden/solve.sh wrote these: for NASH, SNCPC, M4 and EPA a run
+    # to convergence, then one capped at a single sweep (Nash fails, S-NCPC
+    # reports converged = False, M4 stops unconverged, EPA ignores the cap);
+    # for nash_zero_gain two certified Nash runs whose node 0 has a zero
+    # squared gain
     blocks = (GOLDEN / f"solve_{scheme}.txt").read_text().split("$ epipower ")
     assert blocks[0] == "" and len(blocks) == 3
     for block in blocks[1:]:
@@ -85,41 +87,38 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("solve", "epistemic", *TWO_NODES, "--max-stages", "-1"),
-        ("solve", "epistemic", *TWO_NODES, "--moment-order", "0"),
-        ("solve", "epistemic", *TWO_NODES, "--truncation", "-1"),
-        ("solve", "epistemic", *TWO_NODES, "--sigma", "0"),
-        ("solve", "epistemic", *TWO_NODES, "--max-stages", "0"),
-        ("solve", "nash", *TWO_NODES, "--max-stages", "0"),
-        ("solve", "sncpc", *TWO_NODES, "--max-stages", "0"),
+        ("solve", "M1", *TWO_NODES, "--max-stages", "-1"),
+        ("solve", "M1", *TWO_NODES, "--sigma", "0"),
+        ("solve", "M1", *TWO_NODES, "--max-stages", "0"),
+        ("solve", "NASH", *TWO_NODES, "--max-stages", "0"),
+        ("solve", "SNCPC", *TWO_NODES, "--max-stages", "0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "1", "--moment", "0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "1", "--truncation", "-1"),
         # dB beyond float range, a gain rate that is not finite, NaN and inf
-        ("solve", "nash", "--gains", "1", "--thresholds-db", "4000"),
-        ("solve", "nash", "--gains", "1", "--thresholds-db", "0", "--noise-db", "4000"),
-        ("solve", "nash", "--gains", "1", "--thresholds-db", "inf"),
-        ("solve", "epistemic", "--gains", "1,1", "--thresholds-db", "0,0",
+        ("solve", "NASH", "--gains", "1", "--thresholds-db", "4000"),
+        ("solve", "NASH", "--gains", "1", "--thresholds-db", "0", "--noise-db", "4000"),
+        ("solve", "NASH", "--gains", "1", "--thresholds-db", "inf"),
+        ("solve", "M1", "--gains", "1,1", "--thresholds-db", "0,0",
          "--sigma", "1e-200"),
-        ("solve", "epistemic", "--gains", "1,1", "--thresholds-db", "0,0",
+        ("solve", "M1", "--gains", "1,1", "--thresholds-db", "0,0",
          "--sigma", "1e200"),
-        ("solve", "epistemic", "--gains", "nan", "--thresholds-db", "0"),
-        ("solve", "nash", "--gains", "nan", "--thresholds-db", "0"),
-        ("solve", "sncpc", "--gains", "1,inf", "--thresholds-db", "0,0"),
+        ("solve", "M1", "--gains", "nan", "--thresholds-db", "0"),
+        ("solve", "NASH", "--gains", "nan", "--thresholds-db", "0"),
+        ("solve", "SNCPC", "--gains", "1,inf", "--thresholds-db", "0,0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "nan", "--moment", "1"),
         ("fit-gamma", "--powers", "1,2", "--rate", "inf"),
-        ("solve", "sncpc", "--gains", "1", "--thresholds-db", "0", "--p-max", "inf"),
+        ("solve", "SNCPC", "--gains", "1", "--thresholds-db", "0", "--p-max", "inf"),
         # a finite gain whose square overflows
-        ("solve", "epistemic", "--gains", "1e200,1", "--thresholds-db", "0,0"),
-        ("solve", "nash", "--gains", "1e200,1", "--thresholds-db", "0,0"),
-        # an option the scheme does not read
-        ("solve", "sncpc", *TWO_NODES, "--moment-order", "4", "--exhaustive",
-         "--truncation", "2"),
-        ("solve", "nash", *TWO_NODES, "--moment-order", "1"),
-        ("solve", "epa", *TWO_NODES, "--truncation", "4"),
-        ("solve", "sncpc", *TWO_NODES, "--exhaustive"),
-        ("solve", "nash", *TWO_NODES, "--epa-level", "120"),
-        ("solve", "epistemic", *TWO_NODES, "--epa-level", "120"),
-        ("solve", "sncpc", *TWO_NODES, "--epa-level", "120"),
+        ("solve", "M1", "--gains", "1e200,1", "--thresholds-db", "0,0"),
+        ("solve", "NASH", "--gains", "1e200,1", "--thresholds-db", "0,0"),
+        # --exhaustive belongs to the belief policies
+        ("solve", "SNCPC", *TWO_NODES, "--exhaustive"),
+        ("solve", "EPA", *TWO_NODES, "--exhaustive"),
+        ("solve", "NASH", *TWO_NODES, "--exhaustive"),
+        # the label names the whole policy: no scheme names, no order 5
+        ("solve", "nash", *TWO_NODES),
+        ("solve", "epistemic", *TWO_NODES),
+        ("solve", "M5", *TWO_NODES),
     ],
     ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
 )
@@ -176,7 +175,7 @@ class TestSolve:
     def test_nash_single_node(self, capsys):
         code, out, _ = run(
             capsys,
-            "solve", "nash", "--gains", "1", "--thresholds-db", "0", "--noise-db", "0",
+            "solve", "NASH", "--gains", "1", "--thresholds-db", "0", "--noise-db", "0",
         )
         assert code == EXIT_OK
         assert "node 0: power=1 feasible=True" in out
@@ -192,7 +191,7 @@ class TestSolve:
         )
         code, out, _ = run(
             capsys,
-            "solve", "nash", "--gains", "1", "--thresholds-db", "0",
+            "solve", "NASH", "--gains", "1", "--thresholds-db", "0",
             "--noise-db", "0", "--grid-levels", "11", "--p-max", "10",
         )
         assert code == EXIT_SOLVER
@@ -205,7 +204,7 @@ class TestSolve:
         # tests the same product, so p = 3 is no deviation
         code, out, _ = run(
             capsys,
-            "solve", "nash", "--gains", "1", "--thresholds-db", "7.701212547196625",
+            "solve", "NASH", "--gains", "1", "--thresholds-db", "7.701212547196625",
             "--noise-db=-2.93", "--grid-levels", "11", "--p-max", "10",
         )
         assert code == EXIT_OK
@@ -218,7 +217,7 @@ class TestSolve:
         # every level, so p_max is its best response, not a tie to leave
         code, out, _ = run(
             capsys,
-            "solve", "nash", "--gains", f"{gain},1", "--thresholds-db", "0,0",
+            "solve", "NASH", "--gains", f"{gain},1", "--thresholds-db", "0,0",
             "--grid-levels", "11", "--p-max", "10",
         )
         assert code == EXIT_OK
@@ -228,7 +227,7 @@ class TestSolve:
     def test_epistemic_single_node(self, capsys):
         code, out, _ = run(
             capsys,
-            "solve", "epistemic", "--gains", "1", "--thresholds-db", "0",
+            "solve", "M1", "--gains", "1", "--thresholds-db", "0",
             "--noise-db", "0",
         )
         assert code == EXIT_OK
@@ -238,7 +237,7 @@ class TestSolve:
     def test_epistemic_unconverged_exit(self, capsys):
         code, _, _ = run(
             capsys,
-            "solve", "epistemic", "--gains", "1,0.5", "--thresholds-db=-10,-10",
+            "solve", "M1", "--gains", "1,0.5", "--thresholds-db=-10,-10",
             "--noise-db", "0", "--max-stages", "1",
         )
         assert code == EXIT_SOLVER
@@ -246,37 +245,35 @@ class TestSolve:
     def test_exhaustive_flag_reports_full_scans(self, capsys):
         _, fast, _ = run(
             capsys,
-            "solve", "epistemic", "--gains", "1", "--thresholds-db", "0",
+            "solve", "M1", "--gains", "1", "--thresholds-db", "0",
             "--noise-db", "0", "--grid-levels", "33", "--p-max", "4",
         )
         _, slow, _ = run(
             capsys,
-            "solve", "epistemic", "--gains", "1", "--thresholds-db", "0",
+            "solve", "M1", "--gains", "1", "--thresholds-db", "0",
             "--noise-db", "0", "--grid-levels", "33", "--p-max", "4", "--exhaustive",
         )
         assert "power=1 " in fast and "power=1 " in slow
         assert fast.split("evaluations=")[1] != slow.split("evaluations=")[1]
 
-    def test_epa_level_checked_against_grid(self, capsys):
-        code, _, err = run(
-            capsys,
-            "solve", "epa", "--gains", "1,1", "--thresholds-db", "0,0",
-            "--epa-level", "0.55",
-        )
-        assert code == EXIT_USAGE
-        assert "not a grid level" in err
-        code, out, _ = run(
-            capsys,
-            "solve", "epa", "--gains", "1,1", "--thresholds-db", "0,0",
-            "--epa-level", "0.5",
-        )
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_label_sets_the_moment_order(self, capsys, monkeypatch, order):
+        seen = []
+
+        def game(network, grid, policy, prior, max_stages, exhaustive):
+            seen.append(policy)
+            return original(network, grid, policy, prior, max_stages, exhaustive)
+
+        original = cli.run_epistemic_game
+        monkeypatch.setattr(cli, "run_epistemic_game", game)
+        code, _, _ = run(capsys, "solve", f"M{order}", *TWO_NODES)
         assert code == EXIT_OK
-        assert out.count("power=0.5") == 2
+        assert seen == [EpistemicPolicy(moment_order=order)]
 
     def test_sncpc_solver(self, capsys):
         code, out, _ = run(
             capsys,
-            "solve", "sncpc", "--gains", "1", "--thresholds-db", "0",
+            "solve", "SNCPC", "--gains", "1", "--thresholds-db", "0",
             "--noise-db", "0",
         )
         assert code == EXIT_OK
@@ -285,7 +282,7 @@ class TestSolve:
     def test_length_mismatch_is_usage_error(self, capsys):
         code, _, err = run(
             capsys,
-            "solve", "nash", "--gains", "1,1", "--thresholds-db", "0",
+            "solve", "NASH", "--gains", "1,1", "--thresholds-db", "0",
         )
         assert code == EXIT_USAGE
         assert "equal length" in err
@@ -380,19 +377,33 @@ class TestFigure:
         assert "config error" in err
         assert "trails" in err
 
-    def test_off_grid_epa_level_is_usage_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "figure, sweep",
+        [
+            (3, "gains_linear = 0.5\nthresholds_db = -24"),
+            (6, "interference_pct = 60\npolicies = EPA"),
+        ],
+        ids=["figure3", "figure6_EPA"],
+    )
+    def test_any_p_max_runs(self, capsys, tmp_path, figure, sweep):
+        # EPA transmits at the grid's own p_max, so no second setting can
+        # disagree with [grid] p_max_linear
         path = tmp_path / "cfg.ini"
+        grid = "levels = 101\n"
         path.write_text(
-            "[grid]\nlevels = 11\np_max_linear = 0.5\n"
-            "[sweep]\npolicies = EPA, M1\n"
+            FAST_SWEEP.replace(grid, grid + "p_max_linear = 0.5\n")
+            + f"[sweep]\n{sweep}\n"
         )
-        out_csv = tmp_path / "fig6.csv"
+        out_csv = tmp_path / "fig.csv"
         code, _, err = run(
-            capsys, "figure", "6", "--config", str(path), "--out", str(out_csv)
+            capsys, "figure", str(figure), "--config", str(path), "--out", str(out_csv)
         )
-        assert code == EXIT_USAGE
-        assert "config error" in err and "epa_level_linear" in err
-        assert not out_csv.exists()
+        assert code == EXIT_OK, err
+        rows = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 2
+        if figure == 6:
+            # powers are reported as a fraction of p_max
+            assert rows[1].startswith("60,EPA,1,")
 
     @pytest.mark.parametrize(
         "figure, sweep, key",
@@ -452,7 +463,7 @@ class TestFigure:
 
     def test_print_defaults(self, capsys, tmp_path):
         # the printout is every key the figure accepts, as a loadable INI
-        for figure, n_keys in ((3, 16), (5, 15)):
+        for figure, n_keys in ((3, 14), (5, 13)):
             code, out, _ = run(capsys, "figure", str(figure), "--print-defaults")
             assert code == EXIT_OK
             assert "trials = 10000" in out and "seed = 42" in out
@@ -486,6 +497,11 @@ class TestFigure:
             # the policy label replaced the solver and its moment order
             (3, "scenario", "solver = epa"),
             (4, "policy", "moment_order = 4"),
+            # belief policies expand to order 4 and EPA transmits at p_max
+            (3, "policy", "truncation = 4"),
+            (6, "policy", "truncation = 2"),
+            (4, "baselines", "epa_level_linear = 1.0"),
+            (5, "baselines", "epa_level_linear = 0.5"),
         ],
     )
     def test_key_the_figure_does_not_read_is_usage_error(

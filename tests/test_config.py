@@ -103,10 +103,10 @@ class TestFileOverrides:
             load_run_config(5, path=path, env={})
 
     def test_policy_label_sets_the_spec(self, tmp_path):
-        path = write(tmp_path, "[policy]\nlabel = M4\ntruncation = 2\n")
+        path = write(tmp_path, "[policy]\nlabel = M4\n")
         cfg = load_run_config(3, path=path, env={})
         assert cfg.spec.label == "M4" and cfg.spec.solver == "epistemic"
-        assert cfg.spec.policy == EpistemicPolicy(moment_order=4, truncation=2)
+        assert cfg.spec.policy == EpistemicPolicy(moment_order=4)
         assert "policy.label = M4" in cfg.stamp_lines()
         path = write(tmp_path, "[policy]\nlabel = M7\n")
         with pytest.raises(ConfigError, match=r"^unknown policy label 'M7'"):
@@ -145,15 +145,6 @@ class TestFileOverrides:
         path = write(tmp_path, "[baselines]\nsncpc_max_iter = 0\n")
         with pytest.raises(ConfigError, match="sncpc_max_iter must be at least 1"):
             load_run_config(5, path=path, env={})
-
-    def test_epa_level_must_be_a_grid_level(self, tmp_path):
-        # the default 1.0 W is twice p_max on this grid
-        text = "[grid]\nlevels = 11\np_max_linear = 0.5\n[sweep]\npolicies = EPA, M1\n"
-        with pytest.raises(ConfigError, match=r"\[baselines\] epa_level_linear"):
-            load_run_config(6, path=write(tmp_path, text), env={})
-        text += "[baselines]\nepa_level_linear = 0.5\n"
-        cfg = load_run_config(6, path=write(tmp_path, text), env={})
-        assert cfg.spec.epa_level == 0.5
 
     def test_inline_comments_stripped(self, tmp_path):
         path = write(tmp_path, "[scenario]\ntrials = 64  # quick run\n")

@@ -33,7 +33,7 @@ def engine(policy=None, gain=0.8, threshold=0.3, rivals=((1, 0.5),), **kw):
         prior=PRIOR,
         noise_power=1.0,
         grid=GRID,
-        policy=policy or EpistemicPolicy(moment_order=1, truncation=4),
+        policy=policy or EpistemicPolicy(moment_order=1),
         **kw,
     )
 
@@ -67,15 +67,16 @@ class TestSlopes:
 
 class TestPolicy:
     def test_defaults(self):
-        p = EpistemicPolicy()
-        assert p.moment_order == 1
-        assert p.truncation == 4
+        assert EpistemicPolicy().moment_order == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EpistemicPolicy(moment_order=0)
-        with pytest.raises(ValueError):
-            EpistemicPolicy(truncation=-1)
+
+    def test_orders_above_four_rejected(self):
+        # kth_root has no order-5 root, and no policy label asks for one
+        with pytest.raises(ValueError, match="moment_order must be 1..4, got 5"):
+            EpistemicPolicy(moment_order=5)
 
 
 class TestSingleSweep:
@@ -107,8 +108,8 @@ class TestSingleSweep:
         assert series.status == STATUS_TRUNCATED
 
     def test_second_moment_is_more_permissive_on_rivals(self):
-        first = engine(EpistemicPolicy(moment_order=1, truncation=4))
-        second = engine(EpistemicPolicy(moment_order=2, truncation=4))
+        first = engine(EpistemicPolicy(moment_order=1))
+        second = engine(EpistemicPolicy(moment_order=2))
         first.step()
         second.step()
         assert second.believed[1] <= first.believed[1]
@@ -212,7 +213,7 @@ class TestConvergence:
     @settings(max_examples=60, deadline=None)
     def test_feasible_outcomes_meet_their_own_test(self, gain, threshold, k):
         out = engine(
-            EpistemicPolicy(moment_order=k, truncation=4),
+            EpistemicPolicy(moment_order=k),
             gain=gain,
             threshold=threshold,
         ).run(30)
@@ -220,7 +221,7 @@ class TestConvergence:
         if out.feasible:
             assert slope * out.power >= threshold
             # and the next level down would not have passed
-            idx = GRID.index_of(out.power)
+            idx = GRID.levels.index(out.power)
             if idx > 0:
                 assert slope * GRID.levels[idx - 1] < threshold
         else:
@@ -270,7 +271,7 @@ class TestJointGame:
 
     def test_profile_collects_independent_runs(self):
         net = self.network()
-        policy = EpistemicPolicy(moment_order=1, truncation=4)
+        policy = EpistemicPolicy(moment_order=1)
         game = run_epistemic_game(net, GRID, policy, PRIOR, max_stages=20)
         assert len(game.nodes) == 3
         assert game.profile == tuple(o.power for o in game.nodes)
@@ -285,7 +286,7 @@ class TestJointGame:
 
     def test_node_runs_do_not_couple(self):
         net = self.network()
-        policy = EpistemicPolicy(moment_order=2, truncation=4)
+        policy = EpistemicPolicy(moment_order=2)
         game = run_epistemic_game(net, GRID, policy, PRIOR, max_stages=20)
         solo = NodeEngine(
             node_id=1,
@@ -310,7 +311,7 @@ class TestJointGame:
             nodes=(NodeConfig(0, 0.8, 0.3), NodeConfig(1, 1.9, 0.5)),
             noise_power=1.0,
         )
-        policy = EpistemicPolicy(moment_order=1, truncation=4)
+        policy = EpistemicPolicy(moment_order=1)
         ga = run_epistemic_game(a, GRID, policy, PRIOR, max_stages=10)
         gb = run_epistemic_game(b, GRID, policy, PRIOR, max_stages=10)
         assert ga.nodes[0] == gb.nodes[0]

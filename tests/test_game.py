@@ -57,13 +57,6 @@ class TestPowerGrid:
         with pytest.raises(ValueError):
             PowerGrid.linear(5, 0.0)
 
-    def test_index_of(self):
-        grid = PowerGrid.linear(11, 1.0)
-        assert grid.index_of(0.0) == 0
-        assert grid.index_of(1.0) == 10
-        with pytest.raises(ValueError, match="not a grid level"):
-            grid.index_of(0.55)
-
     def test_as_array_is_cached_and_read_only(self):
         grid = PowerGrid.linear(11, 1.0)
         arr = grid.as_array()
@@ -275,7 +268,7 @@ class TestBestResponse:
         net = NetworkState(nodes=(NodeConfig(0, 1.0, 0.5),), noise_power=1.0)
         grid = PowerGrid.linear(11, 1.0)
         powers, feasible = full_csi_sweep(net, grid, (0.0,))
-        assert powers == (0.5,) and grid.index_of(powers[0]) == 5
+        assert powers == (0.5,) and grid.levels.index(powers[0]) == 5
         assert feasible == (True,)
 
     def test_interference_raises_requirement(self):

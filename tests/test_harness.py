@@ -50,8 +50,6 @@ class TestSpecValidation:
             population_spec(interference_fraction=1.1)
         with pytest.raises(ValueError, match="unknown policy label 'genie'"):
             population_spec(label="genie")
-        with pytest.raises(ValueError, match="truncation must be >= 0"):
-            population_spec(truncation=-1)
         with pytest.raises(ValueError):
             population_spec(seed=-1)
         with pytest.raises(ValueError):
@@ -72,14 +70,6 @@ class TestSpecValidation:
     def test_sigma_must_give_a_finite_gain_rate(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
             population_spec(rayleigh_sigma=sigma)
-
-    def test_epa_level_must_be_a_grid_level(self):
-        # SMALL_GRID steps by 0.01 up to 1.0
-        for level in (1.005, 2.0, -0.01):
-            with pytest.raises(ValueError, match="epa_level"):
-                population_spec(epa_level=level)
-        assert population_spec(epa_level=0.25).epa_level == 0.25
-        assert population_spec(epa_level=1.0).epa_level == 1.0
 
     def test_sncpc_sweep_cap_must_be_positive(self):
         # with no sweep every trial would report its untouched start
@@ -326,9 +316,9 @@ class TestSweeps:
         ],
     )
     def test_label_names_solver_and_moment_order(self, label, solver, order):
-        spec = population_spec(label=label, truncation=3)
+        spec = population_spec(label=label)
         assert spec.solver == solver
-        assert spec.policy == EpistemicPolicy(moment_order=order, truncation=3)
+        assert spec.policy == EpistemicPolicy(moment_order=order)
         assert policy_spec(population_spec(), label) == population_spec(label=label)
 
     def test_conditioned_sweep_rows(self):

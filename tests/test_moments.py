@@ -300,10 +300,13 @@ class TestVectorisedKernel:
         x = np.array([1e-30, 0.37, 1.0, 37.41114227829364, 5e20])
         for k in range(1, 6):
             np.testing.assert_allclose(int_power(x, k), x**k, rtol=1e-15)
-            np.testing.assert_allclose(int_power(kth_root(x, k), k), x, rtol=1e-14)
             # a 0-d operand rounds like the matching array row
             assert int_power(x[3:4], k)[0] == int_power(np.asarray(x[3]), k)
+        for k in range(1, 5):
+            np.testing.assert_allclose(int_power(kth_root(x, k), k), x, rtol=1e-14)
             assert kth_root(x[3:4], k)[0] == kth_root(np.asarray(x[3]), k)
+        with pytest.raises(ValueError, match="k must be 1..4, got 5"):
+            kth_root(x, 5)
 
     def test_model_requires_positive_parameters(self):
         with pytest.raises(ValueError):
