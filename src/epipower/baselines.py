@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import NetworkState, PowerGrid, best_response_sweeps
+from .game import MAX_SWEEPS, NetworkState, PowerGrid, best_response_sweeps
 from .moments import RayleighPrior
 
 __all__ = ["epa_profile", "sncpc_solve", "SncpcResult"]
@@ -32,7 +32,7 @@ def sncpc_solve(
     network: NetworkState,
     grid: PowerGrid,
     prior: RayleighPrior,
-    max_iter: int = 200,
+    max_iter: int = MAX_SWEEPS,
 ) -> SncpcResult:
     """All-p_max S-NCPC descent for one network, the scalar reference.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EpistemicPolicy, inter_slope, intra_slope
-from .game import PowerGrid, _ceil_index, select_lowest_feasible_batch
+from .game import MAX_SWEEPS, PowerGrid, _ceil_index, select_lowest_feasible_batch
 from .moments import (
     DEFAULT_TRUNCATION,
     RayleighPrior,
@@ -223,7 +223,7 @@ def sncpc_response(
     noise_power: float,
     grid: PowerGrid,
     prior: RayleighPrior,
-    max_iter: int = 200,
+    max_iter: int = MAX_SWEEPS,
 ) -> BatchIterativeResult:
     """Mean-interference power control: rivals' powers are shared, gains are not.
 

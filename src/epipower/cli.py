@@ -86,12 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-node SINR targets in dB")
     solve.add_argument("--noise-db", type=float, default=0.0,
                        help="noise power in dB (linear 10^(x/10))")
-    solve.add_argument("--sigma", type=float, default=1.0,
-                       help="Rayleigh scale of the gain prior")
+    solve.add_argument("--sigma", type=float, default=None,
+                       help="M1..M4 and SNCPC only: Rayleigh scale of the gain "
+                            "prior (default 1)")
     solve.add_argument("--grid-levels", type=int, default=1201)
     solve.add_argument("--p-max", type=float, default=120.0)
-    solve.add_argument("--max-stages", type=int, default=50,
-                       help="sweep cap for M1..M4 / round cap for NASH, SNCPC")
+    solve.add_argument("--max-stages", type=int, default=None,
+                       help="M1..M4 only: belief depth, the cap on reasoning "
+                            "sweeps (default 50)")
     solve.add_argument("--exhaustive", action="store_true",
                        help="M1..M4 only: scan every grid level per update "
                             "(reports true hypothesis-evaluation counts)")
@@ -100,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("number", type=int, choices=[3, 4, 5, 6])
     fig.add_argument("--out", help="CSV output path (required to run the sweep)")
     fig.add_argument("--config", default=None, help="INI file overriding defaults")
-    fig.add_argument("--workers", type=int, default=None,
-                     help="process count (overrides config)")
+    fig.add_argument("--workers", type=int, default=1,
+                     help="process count; cannot change the output")
     fig.add_argument("--print-defaults", action="store_true",
                      help="show every key this figure accepts with its default "
                           "and exit")
@@ -161,9 +163,11 @@ def _build_network(args) -> tuple[NetworkState, PowerGrid]:
     return network, grid
 
 
-def _print_profile(network: NetworkState, powers, feasible) -> None:
-    for node, p, ok in zip(network.nodes, powers, feasible):
-        realized = sinr(network, list(powers), node.node_id)
+def _print_profile(network: NetworkState, powers, feasible=None) -> None:
+    """One line per node; ``feasible`` defaults to the realised SINR test."""
+    for i, (node, p) in enumerate(zip(network.nodes, powers)):
+        realized = sinr(network, list(powers), i)
+        ok = realized >= node.sinr_threshold if feasible is None else feasible[i]
         print(
             f"node {node.node_id}: power={_fmt(p)} feasible={ok} "
             f"realized_sinr={_fmt(realized)} target={_fmt(node.sinr_threshold)}"
@@ -177,19 +181,25 @@ def _cmd_solve(args) -> int:
                 f"unknown policy label {args.label!r}; expected one of {_SOLVE_LABELS}"
             )
         solver, moment_order = _POLICIES.get(args.label, ("nash", None))
-        if args.exhaustive and solver != "epistemic":
-            raise ValueError(f"--exhaustive applies only to M1..M4, not {args.label}")
+        for option, given, readers in (
+            ("--max-stages", args.max_stages is not None, ("epistemic",)),
+            ("--exhaustive", args.exhaustive, ("epistemic",)),
+            ("--sigma", args.sigma is not None, ("epistemic", "sncpc")),
+        ):
+            if given and solver not in readers:
+                raise ValueError(f"{args.label} does not read {option}")
         network, grid = _build_network(args)
-        prior = RayleighPrior(sigma=args.sigma)
-        if args.max_stages < 1:
-            raise ValueError(f"--max-stages must be at least 1, got {args.max_stages}")
+        prior = RayleighPrior(sigma=1.0 if args.sigma is None else args.sigma)
+        max_stages = 50 if args.max_stages is None else args.max_stages
+        if max_stages < 1:
+            raise ValueError(f"--max-stages must be at least 1, got {max_stages}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if solver == "nash":
         try:
-            result = solve_nash_full_csi(network, grid, max_rounds=args.max_stages)
+            result = solve_nash_full_csi(network, grid)
         except NonConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER
@@ -205,7 +215,7 @@ def _cmd_solve(args) -> int:
             grid,
             EpistemicPolicy(moment_order),
             prior,
-            max_stages=args.max_stages,
+            max_stages=max_stages,
             exhaustive=args.exhaustive,
         )
         feasible = [n.feasible for n in outcome.nodes]
@@ -219,10 +229,11 @@ def _cmd_solve(args) -> int:
         return EXIT_OK if outcome.converged else EXIT_SOLVER
 
     if solver == "epa":
-        _print_profile(network, epa_profile(network, grid), [True] * len(network))
+        # the harness scores EPA by realised SINR, so feasible is that test
+        _print_profile(network, epa_profile(network, grid))
         return EXIT_OK
 
-    result = sncpc_solve(network, grid, prior, max_iter=args.max_stages)
+    result = sncpc_solve(network, grid, prior)
     _print_profile(network, result.powers, result.feasible)
     print(f"iterations = {result.iterations}")
     print(f"converged = {result.converged}")
@@ -261,9 +272,7 @@ def _cmd_figure(args) -> int:
         print("error: the following arguments are required: --out", file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = load_run_config(
-            args.number, path=args.config, workers_override=args.workers
-        )
+        cfg = load_run_config(args.number, args.config, workers_override=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ import configparser
 import os
 from dataclasses import dataclass
 
-from .game import PowerGrid
+from .game import MAX_SWEEPS, PowerGrid
 from .harness import _AXES, ScenarioSpec, db_to_linear
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "figure_defaults"]
@@ -34,7 +34,6 @@ _KEYS: dict[str, tuple[str, str | None]] = {
     "interference_fraction": ("float", "interference_fraction"),
     "trials": ("int", "trials"),
     "seed": ("int", "seed"),
-    "workers": ("int", "workers"),
     "levels": ("int", None),
     "p_max_linear": ("float", None),
     "label": ("str", "label"),
@@ -53,10 +52,9 @@ _COMMON_DEFAULTS: dict[str, dict[str, str]] = {
         "noise_power_db": "-120.0",
         "trials": "10000",
         "seed": "42",
-        "workers": "1",
     },
     "grid": {"p_max_linear": "1.0"},
-    "baselines": {"sncpc_max_iter": "2000"},
+    "baselines": {"sncpc_max_iter": str(MAX_SWEEPS)},
 }
 
 # conditioned-node sweeps: everyone transmits, shallow reasoning; the axes
@@ -160,12 +158,13 @@ def load_run_config(
     figure: int,
     path: str | None = None,
     env: dict[str, str] | None = None,
-    workers_override: int | None = None,
+    workers_override: int = 1,
 ) -> RunConfig:
-    """Resolve one figure run: defaults <- SEED <- config file <- CLI overrides.
+    """Resolve one figure run: defaults <- SEED <- config file.
 
     The SEED environment variable replaces the default seed, so an
-    explicit ``seed`` key in the config file always wins over it.
+    explicit ``seed`` key in the config file always wins over it.  No
+    key sets the pool size: only ``workers_override`` (``--workers``).
     """
     env = dict(os.environ) if env is None else env
     table = figure_defaults(figure)
@@ -178,8 +177,6 @@ def load_run_config(
         table["scenario"]["seed"] = raw
     if path is not None:
         _merge_file(table, path, figure)
-    if workers_override is not None:
-        table["scenario"]["workers"] = str(workers_override)
 
     typed = {
         key: _parse_value(_KEYS[key][0], raw, f"[{section}] {key}")
@@ -194,12 +191,8 @@ def load_run_config(
             for key, value in typed.items()
             if _KEYS[key][1] is not None
         }
-        spec = ScenarioSpec(
-            grid=PowerGrid.linear(
-                n_levels=typed["levels"], p_max=typed["p_max_linear"]
-            ),
-            **fields,
-        )
+        grid = PowerGrid.linear(n_levels=typed["levels"], p_max=typed["p_max_linear"])
+        spec = ScenarioSpec(grid=grid, workers=workers_override, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -216,12 +209,9 @@ def load_run_config(
             except ValueError as exc:
                 raise ConfigError(f"[sweep] {key} value {value}: {exc}") from None
 
-    resolved = []
-    for section in sorted(table):
-        for key in sorted(table[section]):
-            # worker count cannot influence results, and stamping it would
-            # break byte-identity of outputs across machine configurations
-            if key == "workers":
-                continue
-            resolved.append((f"{section}.{key}", table[section][key]))
-    return RunConfig(spec=spec, metric=metric, axes=axes, resolved=tuple(resolved))
+    resolved = tuple(
+        (f"{section}.{key}", table[section][key])
+        for section in sorted(table)
+        for key in sorted(table[section])
+    )
+    return RunConfig(spec=spec, metric=metric, axes=axes, resolved=resolved)

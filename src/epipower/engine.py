@@ -63,7 +63,7 @@ def inter_slope(k: int, lam: float, series_value: float) -> float:
     The k-th SINR moment is p^k (k!/lam^k) E[1/(Y+eta)^k]; its k-th root
     is linear in p with this slope.
     """
-    scale = math.factorial(k) / lam**k
+    scale = math.factorial(k) / int_power(lam, k)
     return kth_root(scale * series_value, k)
 
 

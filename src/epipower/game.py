@@ -28,7 +28,13 @@ __all__ = [
     "NashResult",
     "nash_deviation_scan",
     "NonConvergenceError",
+    "MAX_SWEEPS",
 ]
+
+# The comparators' cap on best-response sweeps (Nash rounds, S-NCPC
+# iterations): at seed 42 the near-singular S-NCPC rows of the default
+# figure 5 need up to 1,448 sweeps (30% load, 10k trials).
+MAX_SWEEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -299,7 +305,7 @@ def best_response_sweeps(
 def solve_nash_full_csi(
     network: NetworkState,
     grid: PowerGrid,
-    max_rounds: int = 200,
+    max_rounds: int = MAX_SWEEPS,
 ) -> NashResult:
     """Full-CSI best-response sweeps from the all-lowest profile.
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .batch import epistemic_response, sncpc_response
 from .engine import EpistemicPolicy
-from .game import PowerGrid
+from .game import MAX_SWEEPS, PowerGrid
 from .moments import RayleighPrior
 
 __all__ = [
@@ -70,7 +70,7 @@ class ScenarioSpec:
     interference_fraction: float = 1.0
     label: str = "M1"
     max_stages: int = 1
-    sncpc_max_iter: int = 2000
+    sncpc_max_iter: int = MAX_SWEEPS
     trials: int = 10000
     seed: int = 42
     conditioned_gain: float | None = None

@@ -2,8 +2,10 @@
 # Writes every bit-identity golden into OUTDIR: figure{3,4,5,6}.csv from
 # small.ini, sncpc_seed7.csv from sncpc_seed7.ini and, through solve.sh,
 # solve_nash.txt, solve_sncpc.txt, solve_M4.txt, solve_EPA.txt and
-# solve_nash_zero_gain.txt.  CI compares each file with its namesake in
-# tests/golden; `sh tests/golden/write.sh tests/golden` rewrites them all.
+# solve_nash_zero_gain.txt.  This script alone lists the goldens: CI
+# compares each file it writes with its namesake in tests/golden and fails
+# on a golden it does not write; `sh tests/golden/write.sh tests/golden`
+# rewrites them all.
 # Run from the repository root.
 set -e
 out=$1

@@ -8,7 +8,7 @@ from epipower import cli
 from epipower.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from epipower.config import load_run_config
 from epipower.engine import EpistemicPolicy
-from epipower.game import NashResult
+from epipower.game import MAX_SWEEPS, NashResult
 
 FAST_SWEEP = """
 [scenario]
@@ -69,15 +69,17 @@ def test_readme_transcripts_match(capsys):
         assert out.splitlines() == expected, argv
 
 
-@pytest.mark.parametrize("scheme", ["nash", "sncpc", "nash_zero_gain", "M4", "EPA"])
+# transcript -> its run count; tests/golden/solve.sh wrote these: for NASH,
+# SNCPC and EPA one run; for M4 a run to convergence, then one at belief
+# depth 1, which stops unconverged; for nash_zero_gain two certified Nash
+# runs whose node 0 has a zero squared gain
+SOLVE_GOLDENS = {"nash": 1, "sncpc": 1, "nash_zero_gain": 2, "M4": 2, "EPA": 1}
+
+
+@pytest.mark.parametrize("scheme", SOLVE_GOLDENS)
 def test_solve_transcripts_match_goldens(capsys, scheme):
-    # tests/golden/solve.sh wrote these: for NASH, SNCPC, M4 and EPA a run
-    # to convergence, then one capped at a single sweep (Nash fails, S-NCPC
-    # reports converged = False, M4 stops unconverged, EPA ignores the cap);
-    # for nash_zero_gain two certified Nash runs whose node 0 has a zero
-    # squared gain
     blocks = (GOLDEN / f"solve_{scheme}.txt").read_text().split("$ epipower ")
-    assert blocks[0] == "" and len(blocks) == 3
+    assert blocks[0] == "" and len(blocks) == SOLVE_GOLDENS[scheme] + 1
     for block in blocks[1:]:
         command, *expected = block.splitlines()
         code, out, err = run(capsys, *shlex.split(command))
@@ -111,10 +113,16 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
         # a finite gain whose square overflows
         ("solve", "M1", "--gains", "1e200,1", "--thresholds-db", "0,0"),
         ("solve", "NASH", "--gains", "1e200,1", "--thresholds-db", "0,0"),
-        # --exhaustive belongs to the belief policies
+        # --exhaustive and --max-stages belong to the belief policies,
+        # --sigma to them and S-NCPC
         ("solve", "SNCPC", *TWO_NODES, "--exhaustive"),
         ("solve", "EPA", *TWO_NODES, "--exhaustive"),
         ("solve", "NASH", *TWO_NODES, "--exhaustive"),
+        ("solve", "NASH", *TWO_NODES, "--max-stages", "5"),
+        ("solve", "SNCPC", *TWO_NODES, "--max-stages", "5"),
+        ("solve", "EPA", *TWO_NODES, "--max-stages", "5"),
+        ("solve", "NASH", *TWO_NODES, "--sigma", "1"),
+        ("solve", "EPA", *TWO_NODES, "--sigma", "1"),
         # the label names the whole policy: no scheme names, no order 5
         ("solve", "nash", *TWO_NODES),
         ("solve", "epistemic", *TWO_NODES),
@@ -187,7 +195,7 @@ class TestSolve:
         monkeypatch.setattr(
             cli,
             "solve_nash_full_csi",
-            lambda network, grid, max_rounds: NashResult((10.0,), (True,), 1),
+            lambda network, grid: NashResult((10.0,), (True,), 1),
         )
         code, out, _ = run(
             capsys,
@@ -269,6 +277,61 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", f"M{order}", *TWO_NODES)
         assert code == EXIT_OK
         assert seen == [EpistemicPolicy(moment_order=order)]
+
+    def test_nash_non_convergence_exits_one(self, capsys, monkeypatch):
+        original = cli.solve_nash_full_csi
+        monkeypatch.setattr(
+            cli,
+            "solve_nash_full_csi",
+            lambda network, grid: original(network, grid, max_rounds=1),
+        )
+        code, out, err = run(capsys, "solve", "NASH", *TWO_NODES)
+        assert code == EXIT_SOLVER
+        assert err == "error: no best-response fixed point within 1 rounds\n"
+        assert out == ""
+
+    def test_sncpc_unconverged_exits_one(self, capsys, monkeypatch):
+        original = cli.sncpc_solve
+        monkeypatch.setattr(
+            cli,
+            "sncpc_solve",
+            lambda network, grid, prior: original(network, grid, prior, max_iter=1),
+        )
+        code, out, _ = run(capsys, "solve", "SNCPC", *TWO_NODES)
+        assert code == EXIT_SOLVER
+        assert "iterations = 1\nconverged = False\n" in out
+
+    def test_comparators_sweep_to_the_shared_cap(self, capsys, monkeypatch):
+        # --max-stages is belief depth only; NASH and SNCPC take MAX_SWEEPS
+        caps = []
+        nash, sncpc = cli.solve_nash_full_csi, cli.sncpc_solve
+
+        def nash_spy(network, grid, max_rounds=MAX_SWEEPS):
+            caps.append(max_rounds)
+            return nash(network, grid, max_rounds)
+
+        def sncpc_spy(network, grid, prior, max_iter=MAX_SWEEPS):
+            caps.append(max_iter)
+            return sncpc(network, grid, prior, max_iter)
+
+        monkeypatch.setattr(cli, "solve_nash_full_csi", nash_spy)
+        monkeypatch.setattr(cli, "sncpc_solve", sncpc_spy)
+        assert run(capsys, "solve", "NASH", *TWO_NODES)[0] == EXIT_OK
+        assert run(capsys, "solve", "SNCPC", *TWO_NODES)[0] == EXIT_OK
+        assert caps == [MAX_SWEEPS, MAX_SWEEPS]
+
+    def test_epa_feasible_is_realised_coverage(self, capsys):
+        # both transmit at p_max = 120 against noise 1: node 0 realises
+        # 120 / 31 = 3.9 and meets its 0 dB target, node 1 realises
+        # 30 / 121 = 0.25 and misses it
+        code, out, _ = run(
+            capsys,
+            "solve", "EPA", "--gains", "1,0.5", "--thresholds-db", "0,0",
+            "--noise-db", "0",
+        )
+        assert code == EXIT_OK
+        assert "node 0: power=120 feasible=True" in out
+        assert "node 1: power=120 feasible=False" in out
 
     def test_sncpc_solver(self, capsys):
         code, out, _ = run(
@@ -463,7 +526,7 @@ class TestFigure:
 
     def test_print_defaults(self, capsys, tmp_path):
         # the printout is every key the figure accepts, as a loadable INI
-        for figure, n_keys in ((3, 14), (5, 13)):
+        for figure, n_keys in ((3, 13), (5, 12)):
             code, out, _ = run(capsys, "figure", str(figure), "--print-defaults")
             assert code == EXIT_OK
             assert "trials = 10000" in out and "seed = 42" in out
@@ -474,6 +537,13 @@ class TestFigure:
             builtin = load_run_config(figure, env={})
             assert printed.spec == builtin.spec
             assert printed.stamp_lines() == builtin.stamp_lines()
+
+    def test_zero_workers_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", None)
+        code, out, err = run(capsys, "figure", "5", "--workers", "0", "--out", "x.csv")
+        assert code == EXIT_USAGE
+        assert err == "config error: workers must be at least 1\n"
+        assert out == ""
 
     def test_run_without_out_is_usage_error(self, capsys):
         code, out, err = run(capsys, "figure", "5")
@@ -502,6 +572,9 @@ class TestFigure:
             (6, "policy", "truncation = 2"),
             (4, "baselines", "epa_level_linear = 1.0"),
             (5, "baselines", "epa_level_linear = 0.5"),
+            # the pool size is figure --workers alone
+            (5, "scenario", "workers = 2"),
+            (3, "scenario", "workers = 1"),
         ],
     )
     def test_key_the_figure_does_not_read_is_usage_error(

@@ -171,12 +171,19 @@ class TestSeedPrecedence:
         cfg = load_run_config(3, env={}, workers_override=4)
         assert cfg.spec.workers == 4
 
-    def test_worker_count_never_stamped(self, tmp_path):
+    def test_worker_count_never_stamped(self):
         # outputs must hash the same on a laptop and a 64-core box
-        path = write(tmp_path, "[scenario]\nworkers = 2\n")
-        for cfg in (
-            load_run_config(3, env={}),
-            load_run_config(3, path=path, env={}),
-            load_run_config(3, env={}, workers_override=8),
-        ):
-            assert not any("workers" in line for line in cfg.stamp_lines())
+        assert (
+            load_run_config(3, env={}, workers_override=8).stamp_lines()
+            == load_run_config(3, env={}).stamp_lines()
+        )
+
+    def test_stamp_lists_every_accepted_key(self):
+        for figure in (3, 4, 5, 6):
+            table = figure_defaults(figure)
+            cfg = load_run_config(figure, env={})
+            assert [line.split(" = ")[0] for line in cfg.stamp_lines()] == [
+                f"{section}.{key}"
+                for section in sorted(table)
+                for key in sorted(table[section])
+            ]

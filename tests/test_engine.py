@@ -17,7 +17,9 @@ from epipower.moments import (
     RayleighPrior,
     STATUS_TRUNCATED,
     fit_interference,
+    int_power,
     inverse_shifted_moment,
+    kth_root,
 )
 
 PRIOR = RayleighPrior(sigma=1.0)  # lam = 0.5 exactly
@@ -63,6 +65,16 @@ class TestSlopes:
         assert len(set(slopes)) == 4
         assert slopes[0] == 1.0 / (lam * eta)
         assert slopes[1] == pytest.approx(math.sqrt(2.0) / (lam * eta), rel=1e-15)
+
+    def test_rate_power_is_a_product_not_pow(self):
+        # at this sigma libm's lam**4 and the product lam*lam*lam*lam differ
+        # by an ulp, and the slope follows the product like the rest of the
+        # moment kernel
+        lam = RayleighPrior(sigma=0.6628).lam
+        assert lam**4 != int_power(lam, 4)
+        slope = inter_slope(4, lam, 0.3)
+        assert slope == kth_root(24 / int_power(lam, 4) * 0.3, 4)
+        assert slope != kth_root(24 / lam**4 * 0.3, 4)
 
 
 class TestPolicy:
