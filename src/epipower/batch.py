@@ -27,6 +27,7 @@ from .game import MAX_SWEEPS, PowerGrid, _ceil_index, select_lowest_feasible_bat
 from .moments import (
     DEFAULT_TRUNCATION,
     RayleighPrior,
+    gamma_from_sums,
     int_power,
     inverse_moment_value,
 )
@@ -40,16 +41,8 @@ __all__ = [
 
 
 def _erlang_params(count: int, power: np.ndarray, lam: float):
-    """Moment-matched (alpha, theta) for `count` equal-power interferers.
-
-    Written with the same expressions as the general fit so the equal
-    powers case rounds identically to summing the expanded list.
-    """
-    sum_p = count * power
-    sum_sq = count * (power * power)
-    alpha = sum_p * sum_p / sum_sq
-    theta = sum_sq / (lam * sum_p)
-    return alpha, theta
+    """Moment-matched (alpha, theta) for `count` equal-power interferers."""
+    return gamma_from_sums(count * power, count * (power * power), lam)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .game import (
 )
 from .harness import _POLICIES, POLICY_LABELS, db_to_linear, sweep
 from .moments import (
+    DEFAULT_TRUNCATION,
     RayleighPrior,
     fit_gamma_mme,
     inverse_shifted_moment,
@@ -73,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Rayleigh scale of amplitudes (rate = 1/(2 sigma^2))")
     fit.add_argument("--eta", type=float, default=0.0,
                      help="deterministic shift added to the interference")
-    fit.add_argument("--moment", type=int, default=1,
-                     help="order k of E[1/(Y+eta)^k] to report (needs eta > 0)")
-    fit.add_argument("--truncation", type=int, default=4,
-                     help="expansion order of the inverse-moment series")
+    fit.add_argument("--moment", type=int, default=None,
+                     help="order k of E[1/(Y+eta)^k] to report (default 1)")
+    fit.add_argument("--truncation", type=int, default=None,
+                     help=f"series expansion order (default {DEFAULT_TRUNCATION})")
 
     solve = sub.add_parser("solve", help="solve one small network explicitly")
     solve.add_argument("label", help="the policy: " + ", ".join(_SOLVE_LABELS))
@@ -123,9 +124,13 @@ def _cmd_fit_gamma(args) -> int:
             lam = RayleighPrior(sigma=args.sigma).lam
         else:
             lam = 0.5
+        if not args.eta > 0.0 and (args.moment, args.truncation) != (None, None):
+            raise ValueError("--moment and --truncation need --eta > 0")
         model = fit_gamma_mme(args.powers, lam=lam, eta=args.eta)
+        moment = 1 if args.moment is None else args.moment
+        truncation = DEFAULT_TRUNCATION if args.truncation is None else args.truncation
         if args.eta > 0.0:
-            sv = inverse_shifted_moment(model, args.moment, args.truncation)
+            sv = inverse_shifted_moment(model, moment, truncation)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -135,7 +140,7 @@ def _cmd_fit_gamma(args) -> int:
     print(f"variance  = {_fmt(model.variance)}")
     if args.eta > 0.0:
         print(
-            f"E[1/(Y+eta)^{args.moment}] = {_fmt(sv.value)} "
+            f"E[1/(Y+eta)^{moment}] = {_fmt(sv.value)} "
             f"(terms={sv.terms_used}, {sv.status})"
         )
     return EXIT_OK
@@ -148,11 +153,7 @@ def _build_network(args) -> tuple[NetworkState, PowerGrid]:
     if len(args.gains) != len(args.thresholds_db):
         raise ValueError("--gains and --thresholds-db must have equal length")
     nodes = tuple(
-        NodeConfig(
-            node_id=i,
-            gain=g,
-            sinr_threshold=db_to_linear(t),
-        )
+        NodeConfig(node_id=i, gain=g, sinr_threshold=db_to_linear(t))
         for i, (g, t) in enumerate(zip(args.gains, args.thresholds_db))
     )
     for node in nodes:
@@ -193,6 +194,10 @@ def _cmd_solve(args) -> int:
         max_stages = 50 if args.max_stages is None else args.max_stages
         if max_stages < 1:
             raise ValueError(f"--max-stages must be at least 1, got {max_stages}")
+        if solver == "epistemic":
+            EpistemicPolicy(moment_order).check_grid(
+                len(network), grid.p_max, network.noise_power, prior.lam
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -277,11 +282,7 @@ def _cmd_figure(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    comments = [
-        f"figure = {args.number}",
-        f"metric = {cfg.metric}",
-        *cfg.stamp_lines(),
-    ]
+    comments = [f"figure = {args.number}", f"metric = {cfg.metric}", *cfg.stamp_lines()]
     columns = [column for column, _ in cfg.axes]
     fields = _METRIC_FIELDS[cfg.metric]
     rows = sweep(cfg.spec, cfg.axes)
@@ -317,11 +318,10 @@ def _cmd_selftest(_args) -> int:
 
     checks: list[tuple[str, bool]] = []
 
-    model = fit_gamma_mme([1.0, 1.0, 1.0], lam=0.5)
-    checks.append(("erlang fit alpha", model.alpha_hat == 3.0))
-    checks.append(("erlang fit theta", model.theta_hat == 2.0))
+    shifted = fit_gamma_mme([1.0, 1.0, 1.0], lam=0.5, eta=100.0)
+    checks.append(("erlang fit alpha", shifted.alpha_hat == 3.0))
+    checks.append(("erlang fit theta", shifted.theta_hat == 2.0))
 
-    shifted = model.with_eta(100.0)
     series = inverse_shifted_moment(shifted, 1, truncation=4)
     quad = quadrature_inverse_moment(shifted, k=1)
     rel = abs(series.value - quad) / quad
@@ -351,15 +351,9 @@ def _cmd_selftest(_args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "fit-gamma":
-        return _cmd_fit_gamma(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    return _cmd_selftest(args)
+    args = build_parser().parse_args(argv)
+    commands = {"fit-gamma": _cmd_fit_gamma, "solve": _cmd_solve, "figure": _cmd_figure}
+    return commands.get(args.command, _cmd_selftest)(args)
 
 
 if __name__ == "__main__":

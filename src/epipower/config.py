@@ -191,6 +191,10 @@ def load_run_config(
             for key, value in typed.items()
             if _KEYS[key][1] is not None
         }
+        if typed.get("policies"):
+            # the axis sets the label at every point; taking its first value
+            # lets a sweep of comparators alone run where belief fits overflow
+            fields["label"] = typed["policies"][0]
         grid = PowerGrid.linear(n_levels=typed["levels"], p_max=typed["p_max_linear"])
         spec = ScenarioSpec(grid=grid, workers=workers_override, **fields)
     except ValueError as exc:

@@ -20,12 +20,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .game import NetworkState, PowerGrid
 from .moments import (
     DEFAULT_TRUNCATION,
     RayleighPrior,
     fit_interference,
+    gamma_from_sums,
     int_power,
+    inverse_moment_value,
     inverse_shifted_moment,
     kth_root,
 )
@@ -37,6 +41,7 @@ __all__ = [
     "NodeEngine",
     "inter_slope",
     "intra_slope",
+    "leave_one_out_fits",
     "run_epistemic_game",
 ]
 
@@ -56,6 +61,22 @@ class EpistemicPolicy:
         if not 1 <= self.moment_order <= 4:
             raise ValueError(f"moment_order must be 1..4, got {self.moment_order}")
 
+    def check_grid(self, n_nodes: int, p_max: float, noise_power: float, lam: float):
+        """ValueError unless this policy's worst-case series is in float range.
+
+        The worst case is ``n_nodes - 1`` interferers at p_max against noise
+        alone; every other fit, leave-one-out sums included, has smaller sums.
+        """
+        count, p = np.float64(n_nodes - 1), np.float64(p_max)
+        with np.errstate(all="ignore"):
+            alpha, theta = gamma_from_sums(count * p, count * (p * p), lam)
+            value, _, _ = inverse_moment_value(
+                alpha, theta, noise_power, self.moment_order, DEFAULT_TRUNCATION
+            )
+        if count > 0 and not 0.0 < value < math.inf:
+            raise ValueError(f"p_max {p_max:g} overflows the belief fit of "
+                             f"{n_nodes - 1} interferers (series value {value:g})")
+
 
 def inter_slope(k: int, lam: float, series_value: float) -> float:
     """Per-unit-power statistic for a rival whose gain is only known in prior.
@@ -70,6 +91,21 @@ def inter_slope(k: int, lam: float, series_value: float) -> float:
 def intra_slope(k: int, gain_sq: float, series_value: float) -> float:
     """Per-unit-power statistic when the transmitter knows its own gain."""
     return gain_sq * kth_root(series_value, k)
+
+
+def leave_one_out_fits(powers: Sequence[float], lam: float):
+    """Indices j with an active (> 0) other entry; alpha, theta of their fits.
+
+    Each fit is ``fit_interference`` of the entries other than j, bit for
+    bit: ``math.fsum`` is correctly rounded (Shewchuk 1997), so removing
+    entry j from the sums over all active entries gives the same sums.
+    """
+    active = [p for p in powers if p > 0.0]
+    squares = [p * p for p in active]
+    fitted = [j for j, p in enumerate(powers) if len(active) > (p > 0.0)]
+    sum_p = [math.fsum(active + [-powers[j]]) for j in fitted]
+    sum_sq = [math.fsum(squares + [-(powers[j] * powers[j])]) for j in fitted]
+    return fitted, *gamma_from_sums(np.array(sum_p), np.array(sum_sq), lam)
 
 
 @dataclass(frozen=True)
@@ -143,9 +179,8 @@ class NodeEngine:
     def _series(self, powers: list[float], eta: float) -> float:
         k = self.policy.moment_order
         model = fit_interference(powers, self.prior.lam, eta)
-        if model is None:
-            return 1.0 / int_power(eta, k)
-        return inverse_shifted_moment(model, k, DEFAULT_TRUNCATION).value
+        return (1.0 / int_power(eta, k) if model is None
+                else inverse_shifted_moment(model, k, DEFAULT_TRUNCATION).value)
 
     def _update(self, slope: float, threshold: float) -> tuple[float, bool]:
         """Lowest level p with slope*p >= threshold and True; (p_max, False) if none.
@@ -175,14 +210,18 @@ class NodeEngine:
 
         # rival pass: simulate each rival's feasibility test against the
         # sweep-entry state; this node's own contribution enters as the
-        # known-gain shift, everyone else through the fitted model.  A
-        # series value that is not positive clamps the slope to 0, so no
-        # level passes
+        # known-gain shift, everyone else through the fitted model, in one
+        # array series call.  A series value that is not positive clamps
+        # the slope to 0, so no level passes
         eta_rival = self.gain_sq * entry_own + self.noise_power
+        entry = [entry_beliefs[rid] for rid, _ in self.rivals]
+        fitted, alpha, theta = leave_one_out_fits(entry, lam)
+        series, _, _ = inverse_moment_value(alpha, theta, eta_rival, k, DEFAULT_TRUNCATION)
+        fits = dict(zip(fitted, series.tolist()))
+        bypass = 1.0 / int_power(eta_rival, k)
         new_beliefs: dict[int, float] = {}
-        for rid, rthr in self.rivals:
-            others = [entry_beliefs[m] for m, _ in self.rivals if m != rid]
-            value = self._series(others, eta_rival)
+        for j, (rid, rthr) in enumerate(self.rivals):
+            value = fits.get(j, bypass)
             slope = 0.0 if value <= 0.0 else inter_slope(k, lam, value)
             new_beliefs[rid], _ = self._update(slope, rthr)
         self.believed = new_beliefs
@@ -197,14 +236,10 @@ class NodeEngine:
     def run(self, max_stages: int) -> NodeOutcome:
         if max_stages < 0:
             raise ValueError("max_stages must be nonnegative")
-        converged = False
-        stages_run = 0
-        for stage in range(1, max_stages + 1):
-            changed = self.step()
-            stages_run = stage
-            if not changed:
-                converged = True
-                break
+        stages_run, converged = 0, False
+        while stages_run < max_stages and not converged:
+            stages_run += 1
+            converged = not self.step()
         return NodeOutcome(
             node_id=self.node_id,
             power=self.own_power,
@@ -233,11 +268,8 @@ def run_epistemic_game(
     """
     outcomes = []
     for node in network.nodes:
-        rivals = [
-            (other.node_id, other.sinr_threshold)
-            for other in network.nodes
-            if other.node_id != node.node_id
-        ]
+        rivals = [(other.node_id, other.sinr_threshold)
+                  for other in network.nodes if other.node_id != node.node_id]
         eng = NodeEngine(
             node_id=node.node_id,
             gain=node.gain,

@@ -92,6 +92,10 @@ class ScenarioSpec:
             )
         if self.max_stages < 1:
             raise ValueError("max_stages must be at least 1")
+        if self.solver == "epistemic":
+            self.policy.check_grid(
+                self.n_nodes, self.grid.p_max, self.noise_power, self.prior.lam
+            )
         if self.sncpc_max_iter < 1:
             raise ValueError("sncpc_max_iter must be at least 1")
         if self.trials < 1:
@@ -335,8 +339,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
     # powers are reported as a fraction of the top grid level
     avg_power = float(pwr.mean()) / spec.grid.p_max
     if spec.trials < 2:
-        ci = 0.0
-        power_ci = 0.0
+        ci = power_ci = 0.0
     else:
         root_trials = math.sqrt(spec.trials)
         ci = 1.96 * float(cov.std(ddof=1)) / root_trials

@@ -26,6 +26,7 @@ __all__ = [
     "SeriesValue",
     "fit_gamma_mme",
     "fit_interference",
+    "gamma_from_sums",
     "int_power",
     "kth_root",
     "inverse_shifted_moment",
@@ -86,22 +87,14 @@ class GammaInterferenceModel:
     def variance(self) -> float:
         return self.alpha_hat * self.theta_hat * self.theta_hat
 
-    def with_eta(self, eta: float) -> "GammaInterferenceModel":
-        return GammaInterferenceModel(self.alpha_hat, self.theta_hat, eta)
-
 
 def fit_gamma_mme(
     powers: Sequence[float], lam: float, eta: float = 0.0
 ) -> GammaInterferenceModel:
     """Method-of-moments Gamma fit of Y = sum_j p_j X_j, X_j ~ Exp(lam) iid.
 
-    Matching E[Y] = sum(p)/lam and V[Y] = sum(p^2)/lam^2 gives
-
-        alpha_hat = (sum p)^2 / sum(p^2)
-        theta_hat = sum(p^2) / (lam * sum p)
-
-    Equal powers make the fit exact: alpha_hat equals the interferer
-    count and Y is Erlang.
+    ``gamma_from_sums`` of the correctly rounded sums.  Equal powers make
+    the fit exact: alpha_hat equals the interferer count and Y is Erlang.
 
     Raises
     ------
@@ -116,11 +109,20 @@ def fit_gamma_mme(
     vec = [float(p) for p in powers]
     if any(not p > 0.0 for p in vec):
         raise ValueError("all interferer powers must be strictly positive")
-    sum_p = math.fsum(vec)
-    sum_sq = math.fsum(p * p for p in vec)
+    alpha, theta = gamma_from_sums(math.fsum(vec), math.fsum(p * p for p in vec), lam)
+    return GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, eta=eta)
+
+
+def gamma_from_sums(sum_p, sum_sq, lam):
+    """The Gamma (alpha, theta) of Y = sum_j p_j X_j from sum(p), sum(p^2).
+
+    Matching E[Y] = sum(p)/lam and V[Y] = sum(p^2)/lam^2 gives
+    alpha = (sum p)^2 / sum(p^2) and theta = sum(p^2) / (lam sum p).
+    Array-friendly; the scalar, leave-one-out and Erlang fits all use it.
+    """
     alpha = sum_p * sum_p / sum_sq
     theta = sum_sq / (lam * sum_p)
-    return GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, eta=eta)
+    return alpha, theta
 
 
 def fit_interference(

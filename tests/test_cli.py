@@ -96,6 +96,15 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
         ("solve", "SNCPC", *TWO_NODES, "--max-stages", "0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "1", "--moment", "0"),
         ("fit-gamma", "--powers", "1,2", "--eta", "1", "--truncation", "-1"),
+        # the series options are read only with a positive shift
+        ("fit-gamma", "--powers", "1,2,3", "--moment", "0", "--truncation", "9"),
+        ("fit-gamma", "--powers", "1,2,3", "--moment", "1"),
+        ("fit-gamma", "--powers", "1,2,3", "--eta", "0", "--truncation", "4"),
+        # a grid on which a belief policy's Gamma fit overflows
+        ("solve", "M1", "--gains", "1,1,1", "--thresholds-db", "0,0,0",
+         "--p-max", "1e200", "--grid-levels", "11"),
+        ("solve", "M4", "--gains", "1,1,1", "--thresholds-db", "0,0,0",
+         "--p-max", "1e100", "--grid-levels", "11"),
         # dB beyond float range, a gain rate that is not finite, NaN and inf
         ("solve", "NASH", "--gains", "1", "--thresholds-db", "4000"),
         ("solve", "NASH", "--gains", "1", "--thresholds-db", "0", "--noise-db", "4000"),
@@ -167,6 +176,13 @@ class TestFitGamma:
         code, _, err = run(capsys, "fit-gamma", "--powers", "")
         assert code == EXIT_USAGE
         assert "no interferers" in err
+
+    def test_series_options_default_without_being_named(self, capsys):
+        named = run(
+            capsys, "fit-gamma", "--powers", "1,1,1", "--eta", "100",
+            "--moment", "1", "--truncation", "4",
+        )
+        assert run(capsys, "fit-gamma", "--powers", "1,1,1", "--eta", "100") == named
 
     def test_shifted_moment_report(self, capsys):
         code, out, _ = run(
@@ -319,6 +335,17 @@ class TestSolve:
         assert run(capsys, "solve", "NASH", *TWO_NODES)[0] == EXIT_OK
         assert run(capsys, "solve", "SNCPC", *TWO_NODES)[0] == EXIT_OK
         assert caps == [MAX_SWEEPS, MAX_SWEEPS]
+
+    @pytest.mark.parametrize("label", ["EPA", "SNCPC", "NASH"])
+    def test_comparators_run_on_a_huge_grid(self, capsys, label):
+        # only the belief policies fit a Gamma model to p_max
+        code, out, err = run(
+            capsys,
+            "solve", label, "--gains", "1,1,1", "--thresholds-db", "0,0,0",
+            "--p-max", "1e200", "--grid-levels", "11",
+        )
+        assert code == EXIT_OK and err == ""
+        assert out.count("power=1e+200 feasible=False") == 3
 
     def test_epa_feasible_is_realised_coverage(self, capsys):
         # both transmit at p_max = 120 against noise 1: node 0 realises
@@ -506,6 +533,9 @@ class TestFigure:
             (5, "scenario", "trials = 4294967297"),
             (4, "policy", "label = M7"),
             (5, "grid", "p_max_linear = inf"),
+            # the belief policies' Gamma fit overflows at this p_max
+            (3, "grid", "p_max_linear = 1e200"),
+            (5, "grid", "p_max_linear = 1e200"),
         ],
     )
     def test_out_of_range_value_is_usage_error(

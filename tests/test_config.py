@@ -141,6 +141,20 @@ class TestFileOverrides:
         with pytest.raises(ConfigError, match=rf"^\[sweep\] {key} value "):
             load_run_config(figure, path=path, env={})
 
+    def test_belief_labels_reject_a_grid_their_fit_overflows(self, tmp_path):
+        grid = "[grid]\np_max_linear = 1e200\n"
+        for figure in (3, 5):
+            path = write(tmp_path, grid)
+            with pytest.raises(ConfigError, match="overflows the belief fit"):
+                load_run_config(figure, path=path, env={})
+        # the policy axis names the label that fails
+        path = write(tmp_path, grid + "[sweep]\npolicies = EPA, M2\n")
+        with pytest.raises(ConfigError, match=r"^\[sweep\] policies value M2: p_max"):
+            load_run_config(5, path=path, env={})
+        # the comparators alone run on such a grid
+        path = write(tmp_path, grid + "[sweep]\npolicies = EPA, SNCPC\n")
+        assert load_run_config(5, path=path, env={}).spec.grid.p_max == 1e200
+
     def test_sncpc_sweep_cap_must_be_positive(self, tmp_path):
         path = write(tmp_path, "[baselines]\nsncpc_max_iter = 0\n")
         with pytest.raises(ConfigError, match="sncpc_max_iter must be at least 1"):

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from epipower import engine as engine_module
 from epipower.engine import (
     EpistemicPolicy,
     NodeEngine,
     inter_slope,
     intra_slope,
+    leave_one_out_fits,
     run_epistemic_game,
 )
 from epipower.game import NetworkState, NodeConfig, PowerGrid
@@ -327,3 +329,141 @@ class TestJointGame:
         ga = run_epistemic_game(a, GRID, policy, PRIOR, max_stages=10)
         gb = run_epistemic_game(b, GRID, policy, PRIOR, max_stages=10)
         assert ga.nodes[0] == gb.nodes[0]
+
+
+# beliefs spread over many binades, silent entries and a few repeated values
+belief_values = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.1, 1.0 / 3.0, 2.0]),
+    st.builds(
+        math.ldexp,
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+        st.integers(min_value=-300, max_value=300),
+    ),
+)
+
+
+def replay_rival_pass(eng):
+    """A sweep's rival beliefs, one rival at a time from public pieces."""
+    k = eng.policy.moment_order
+    lam = eng.prior.lam
+    eta = eng.gain_sq * eng.own_power + eng.noise_power
+    expected = {}
+    for rid, threshold in eng.rivals:
+        others = [eng.believed[m] for m, _ in eng.rivals if m != rid]
+        model = fit_interference(others, lam, eta)
+        if model is None:
+            value = 1.0 / int_power(eta, k)
+        else:
+            value = inverse_shifted_moment(model, k, 4).value
+        slope = 0.0 if value <= 0.0 else inter_slope(k, lam, value)
+        idx = eng.grid.select_lowest_feasible(slope, threshold)
+        expected[rid] = eng.grid.p_max if idx is None else eng.grid.levels[idx]
+    return expected
+
+
+def random_engines(n_nodes, k, grid, exhaustive, seed):
+    """Every node's engine for one network with mixed SINR targets."""
+    rng = np.random.default_rng(seed)
+    gains = rng.rayleigh(1.0, n_nodes)
+    targets = rng.choice([0.05, 0.2, 0.5], n_nodes)
+    return [
+        NodeEngine(
+            node_id=i,
+            gain=float(gains[i]),
+            sinr_threshold=float(targets[i]),
+            rivals=[(j, float(targets[j])) for j in range(n_nodes) if j != i],
+            prior=PRIOR,
+            noise_power=1.0,
+            grid=grid,
+            policy=EpistemicPolicy(moment_order=k),
+            exhaustive=exhaustive,
+        )
+        for i in range(n_nodes)
+    ]
+
+
+class TestRivalPass:
+    @given(
+        powers=st.lists(belief_values, min_size=1, max_size=4),
+        lam=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @example(powers=[0.1, 0.1, 0.1], lam=0.5)
+    @example(powers=[2.0, 2.0, 1.0 / 3.0, 2.0], lam=0.7)
+    @example(powers=[0.0, 1e-150, 1e150], lam=0.5)
+    @example(powers=[0.0, 0.0, 3.0], lam=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_leave_one_out_fit_is_the_fit_of_the_others(self, powers, lam):
+        fitted, alpha, theta = leave_one_out_fits(powers, lam)
+        expected = []
+        for j in range(len(powers)):
+            model = fit_interference(powers[:j] + powers[j + 1 :], lam, 0.0)
+            if model is not None:
+                expected.append((j, model.alpha_hat, model.theta_hat))
+        assert fitted == [j for j, _, _ in expected]
+        assert list(zip(fitted, alpha.tolist(), theta.tolist())) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "n_nodes, p_min, exhaustive",
+        [(2, 0.0, False), (3, 0.0, True), (3, 0.5, False), (50, 0.5, False),
+         (50, 0.0, True)],
+    )
+    def test_step_replays_one_rival_at_a_time(self, k, n_nodes, p_min, exhaustive):
+        grid = PowerGrid.linear(101, 10.0, p_min)
+        stages = 6 if n_nodes < 50 else 2
+        probes = len(grid) if exhaustive else math.ceil(math.log2(len(grid))) + 1
+        for eng in random_engines(n_nodes, k, grid, exhaustive, seed=n_nodes + k):
+            for _ in range(stages):
+                expected = replay_rival_pass(eng)
+                before = eng.eu_evaluations
+                moved = eng.step()
+                assert eng.believed == expected
+                assert eng.eu_evaluations - before == n_nodes * probes
+                if not moved:
+                    break
+
+    def test_silent_rivals_take_the_bypass(self):
+        # a zero target puts a rival's belief on the grid's 0 level, where
+        # it drops out of every other rival's fit; rival 1 then has no
+        # active others
+        grid = PowerGrid.linear(101, 10.0)
+        for k in (1, 4):
+            eng = engine(EpistemicPolicy(k), rivals=((1, 0.5), (2, 0.0), (3, 0.0)))
+            for _ in range(3):
+                expected = replay_rival_pass(eng)
+                eng.step()
+                assert eng.believed == expected
+            assert eng.believed[2] == eng.believed[3] == grid.p_min == 0.0
+
+    def test_one_series_call_per_sweep(self, monkeypatch):
+        # the rival pass evaluates every rival's series in one array call,
+        # and the own pass keeps the traced scalar pieces
+        calls = {"array": 0, "own": 0}
+        array_series = engine_module.inverse_moment_value
+        own_series = engine_module.inverse_shifted_moment
+
+        def count_array(*args):
+            calls["array"] += 1
+            return array_series(*args)
+
+        def count_own(*args):
+            calls["own"] += 1
+            return own_series(*args)
+
+        monkeypatch.setattr(engine_module, "inverse_moment_value", count_array)
+        monkeypatch.setattr(engine_module, "inverse_shifted_moment", count_own)
+        n_nodes = 12
+        network = NetworkState(
+            nodes=tuple(
+                NodeConfig(i, 0.5 + 0.1 * i, (0.05, 0.2)[i % 2]) for i in range(n_nodes)
+            ),
+            noise_power=1.0,
+        )
+        game = run_epistemic_game(
+            network, GRID, EpistemicPolicy(moment_order=2), PRIOR, max_stages=20
+        )
+        stages = sum(o.stages_run for o in game.nodes)
+        assert stages > n_nodes
+        assert 0 < calls["array"] <= stages < stages * (n_nodes - 1)
+        assert calls["own"] == stages

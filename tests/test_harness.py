@@ -78,6 +78,31 @@ class TestSpecValidation:
                 population_spec(label="SNCPC", sncpc_max_iter=cap)
         assert population_spec(sncpc_max_iter=1).sncpc_max_iter == 1
 
+    @pytest.mark.parametrize("label", ["M1", "M2", "M3", "M4"])
+    def test_belief_label_rejects_a_grid_its_fit_overflows(self, label):
+        # five interferers at p_max = 1e200: p_max^2 overflows and the
+        # Gamma fit turns NaN
+        with pytest.raises(ValueError, match="overflows the belief fit"):
+            population_spec(label=label, grid=PowerGrid.linear(11, 1e200))
+        # the own-gain comparators never fit a Gamma model
+        for other in ("EPA", "SNCPC"):
+            population_spec(label=other, grid=PowerGrid.linear(11, 1e200))
+        # a lone node has no interferers to fit
+        population_spec(label=label, n_nodes=1, grid=PowerGrid.linear(11, 1e200))
+
+    def test_belief_grid_bound_is_the_series_range(self):
+        # at p_max = 1e100 the fit itself is finite, but M1's fourth central
+        # moment overflows (series value NaN) and so does M4's
+        # (E[Y] + eta)^4 (series value 0); at 1e50 every label runs
+        huge = PowerGrid.linear(11, 1e100)
+        with pytest.raises(ValueError, match="series value nan"):
+            population_spec(label="M1", grid=huge)
+        with pytest.raises(ValueError, match="series value 0"):
+            population_spec(label="M4", grid=huge)
+        grid = PowerGrid.linear(11, 1e50)
+        for label in ("M1", "M2", "M3", "M4"):
+            assert population_spec(label=label, grid=grid).grid is grid
+
     def test_zero_active_rejected(self):
         with pytest.raises(ValueError, match="no transmitters"):
             population_spec(interference_fraction=0.0)

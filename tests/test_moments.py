@@ -15,6 +15,7 @@ from epipower.moments import (
     fit_gamma_mme,
     fit_interference,
     gamma_central_moments,
+    gamma_from_sums,
     int_power,
     inverse_moment_value,
     inverse_shifted_moment,
@@ -96,6 +97,18 @@ class TestGammaFit:
         assert m.alpha_hat == 1.6
         assert m.theta_hat == 2.5
         assert m.eta == 2.0
+
+    def test_gamma_from_sums_rows_match_the_fit(self):
+        lists = [(1.0, 3.0), (0.3, 0.3, 7.0), (2.5,)]
+        alpha, theta = gamma_from_sums(
+            np.array([math.fsum(p) for p in lists]),
+            np.array([math.fsum(x * x for x in p) for p in lists]),
+            0.7,
+        )
+        for row, powers in enumerate(lists):
+            m = fit_gamma_mme(powers, lam=0.7)
+            assert (alpha[row], theta[row]) == (m.alpha_hat, m.theta_hat)
+        assert gamma_from_sums(4.0, 10.0, 1.0) == (1.6, 2.5)
 
     def test_fit_interference_all_silent_is_none(self):
         assert fit_interference((0.0, 0.0), lam=1.0, eta=2.0) is None
