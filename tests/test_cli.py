@@ -98,7 +98,7 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
         ("fit-gamma", "--powers", "1,2", "--eta", "1", "--truncation", "-1"),
         # the series options are read only with a positive shift
         ("fit-gamma", "--powers", "1,2,3", "--moment", "0", "--truncation", "9"),
-        ("fit-gamma", "--powers", "1,2,3", "--moment", "1"),
+        ("fit-gamma", "--moment", "1", "--powers", "1,2,3"),
         ("fit-gamma", "--powers", "1,2,3", "--eta", "0", "--truncation", "4"),
         # a grid on which a belief policy's Gamma fit overflows
         ("solve", "M1", "--gains", "1,1,1", "--thresholds-db", "0,0,0",
