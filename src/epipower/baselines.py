@@ -1,7 +1,8 @@
 """Reference strategies the belief-driven scheme is judged against.
 
 S-NCPC is the full-CSI Gauss–Seidel best-response sweep of ``game``
-played against the prior-mean gain; EPA transmits at p_max.
+played against the prior-mean gain.  EPA, every node at p_max, needs no
+solver: the harness and ``solve EPA`` write that profile directly.
 """
 from __future__ import annotations
 
@@ -12,12 +13,7 @@ import numpy as np
 from .game import MAX_SWEEPS, NetworkState, PowerGrid, best_response_sweeps
 from .moments import RayleighPrior
 
-__all__ = ["epa_profile", "sncpc_solve", "SncpcResult"]
-
-
-def epa_profile(network: NetworkState, grid: PowerGrid) -> tuple[float, ...]:
-    """Equal power allocation: every node transmits at the grid's p_max."""
-    return (grid.p_max,) * len(network)
+__all__ = ["sncpc_solve", "SncpcResult"]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .game import MAX_SWEEPS, PowerGrid, _ceil_index, select_lowest_feasible_bat
 from .moments import (
     DEFAULT_TRUNCATION,
     RayleighPrior,
-    gamma_from_sums,
+    erlang_fit,
     int_power,
     inverse_moment_value,
 )
@@ -38,11 +38,6 @@ __all__ = [
     "BatchIterativeResult",
     "sncpc_response",
 ]
-
-
-def _erlang_params(count: int, power: np.ndarray, lam: float):
-    """Moment-matched (alpha, theta) for `count` equal-power interferers."""
-    return gamma_from_sums(count * power, count * (power * power), lam)
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ def epistemic_response(
             if n_rival_others == 0:
                 series_r = 1.0 / int_power(eta_rival, k)
             else:
-                alpha, theta = _erlang_params(n_rival_others, e, lam)
+                alpha, theta = erlang_fit(n_rival_others, e, lam)
                 series_r, _, _ = inverse_moment_value(
                     alpha, theta, eta_rival, k, DEFAULT_TRUNCATION
                 )
@@ -124,7 +119,7 @@ def epistemic_response(
             e_new = levels[idx_e]  # index -1 (infeasible) is the last level, p_max
 
             # own pass against refreshed beliefs
-            alpha, theta = _erlang_params(n_own_others, e_new, lam)
+            alpha, theta = erlang_fit(n_own_others, e_new, lam)
             series_o, _, _ = inverse_moment_value(
                 alpha, theta, noise_power, k, DEFAULT_TRUNCATION
             )

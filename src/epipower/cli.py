@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import epa_profile, sncpc_solve
-from .config import ConfigError, figure_defaults, load_run_config
+from .baselines import sncpc_solve
+from .config import FIGURES, ConfigError, figure_defaults, load_run_config
 from .engine import EpistemicPolicy, run_epistemic_game
 from .game import (
     NetworkState,
@@ -24,7 +24,7 @@ from .game import (
     sinr,
     solve_nash_full_csi,
 )
-from .harness import _POLICIES, POLICY_LABELS, db_to_linear, sweep
+from .harness import _POLICIES, CHUNK_TRIALS, POLICY_LABELS, db_to_linear, sweep
 from .moments import (
     DEFAULT_TRUNCATION,
     RayleighPrior,
@@ -69,9 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma separated interferer powers")
     rate = fit.add_mutually_exclusive_group()
     rate.add_argument("--rate", "--lambda", dest="rate", type=float, default=None,
-                      help="exponential rate of squared gains (default 0.5)")
+                      help="exponential rate of squared gains (default: "
+                           "the rate of --sigma)")
     rate.add_argument("--sigma", type=float, default=None,
-                      help="Rayleigh scale of amplitudes (rate = 1/(2 sigma^2))")
+                      help="Rayleigh scale of amplitudes, rate = 1/(2 sigma^2) "
+                           "(default 1)")
     fit.add_argument("--eta", type=float, default=0.0,
                      help="deterministic shift added to the interference")
     fit.add_argument("--moment", type=int, default=None,
@@ -100,11 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(reports true hypothesis-evaluation counts)")
 
     fig = sub.add_parser("figure", help="run one of the canned Monte Carlo sweeps")
-    fig.add_argument("number", type=int, choices=[3, 4, 5, 6])
+    fig.add_argument("number", type=int, choices=FIGURES)
     fig.add_argument("--out", help="CSV output path (required to run the sweep)")
     fig.add_argument("--config", default=None, help="INI file overriding defaults")
     fig.add_argument("--workers", type=int, default=1,
-                     help="process count; cannot change the output")
+                     help=f"process count, at most one per {CHUNK_TRIALS}-trial "
+                          "chunk; cannot change the output")
     fig.add_argument("--print-defaults", action="store_true",
                      help="show every key this figure accepts with its default "
                           "and exit")
@@ -120,10 +123,8 @@ def _cmd_fit_gamma(args) -> int:
     try:
         if args.rate is not None:
             lam = args.rate
-        elif args.sigma is not None:
-            lam = RayleighPrior(sigma=args.sigma).lam
         else:
-            lam = 0.5
+            lam = RayleighPrior(sigma=1.0 if args.sigma is None else args.sigma).lam
         if not args.eta > 0.0 and (args.moment, args.truncation) != (None, None):
             raise ValueError("--moment and --truncation need --eta > 0")
         model = fit_gamma_mme(args.powers, lam=lam, eta=args.eta)
@@ -166,12 +167,12 @@ def _build_network(args) -> tuple[NetworkState, PowerGrid]:
 
 def _print_profile(network: NetworkState, powers, feasible=None) -> None:
     """One line per node; ``feasible`` defaults to the realised SINR test."""
+    realized = sinr(network.gains_sq(), powers, network.noise_power).tolist()
     for i, (node, p) in enumerate(zip(network.nodes, powers)):
-        realized = sinr(network, list(powers), i)
-        ok = realized >= node.sinr_threshold if feasible is None else feasible[i]
+        ok = realized[i] >= node.sinr_threshold if feasible is None else feasible[i]
         print(
             f"node {node.node_id}: power={_fmt(p)} feasible={ok} "
-            f"realized_sinr={_fmt(realized)} target={_fmt(node.sinr_threshold)}"
+            f"realized_sinr={_fmt(realized[i])} target={_fmt(node.sinr_threshold)}"
         )
 
 
@@ -235,7 +236,7 @@ def _cmd_solve(args) -> int:
 
     if solver == "epa":
         # the harness scores EPA by realised SINR, so feasible is that test
-        _print_profile(network, epa_profile(network, grid))
+        _print_profile(network, (grid.p_max,) * len(network))
         return EXIT_OK
 
     result = sncpc_solve(network, grid, prior)
@@ -246,23 +247,6 @@ def _cmd_solve(args) -> int:
 
 
 # -- figure ------------------------------------------------------------------
-
-
-def _write_csv(path: str, comment_lines, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in comment_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-# reported metric -> (value field, CI field) of ScenarioMetrics
-_METRIC_FIELDS = {
-    "avg_power": ("avg_power", "power_ci"),
-    "coverage": ("coverage", "ci_halfwidth"),
-    "outage": ("outage", "ci_halfwidth"),
-}
 
 
 def _cmd_figure(args) -> int:
@@ -284,15 +268,22 @@ def _cmd_figure(args) -> int:
 
     comments = [f"figure = {args.number}", f"metric = {cfg.metric}", *cfg.stamp_lines()]
     columns = [column for column, _ in cfg.axes]
-    fields = _METRIC_FIELDS[cfg.metric]
-    rows = sweep(cfg.spec, cfg.axes)
-    out_rows = [
-        [_fmt(row[c]) for c in columns]
-        + [_fmt(getattr(row["metrics"], f)) for f in fields]
-        for row in rows
-    ]
-    _write_csv(args.out, comments, columns + ["metric", "ci"], out_rows)
-    print(f"wrote {len(out_rows)} rows to {args.out}")
+    try:
+        # opened before the first point runs, so a bad path costs no run
+        fh = open(args.out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    with fh:
+        rows = sweep(cfg.spec, cfg.axes)
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns + ["metric", "ci"]) + "\n")
+        for row in rows:
+            cells = [row[c] for c in columns]
+            cells += [getattr(row["metrics"], f) for f in (cfg.metric, cfg.metric_ci)]
+            fh.write(",".join(map(_fmt, cells)) + "\n")
+    print(f"wrote {len(rows)} rows to {args.out}")
     for row in rows:
         m = row["metrics"]
         if m.stage_cap_fraction > 0.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .game import MAX_SWEEPS, PowerGrid
 from .harness import _AXES, ScenarioSpec, db_to_linear
 
-__all__ = ["ConfigError", "RunConfig", "load_run_config", "figure_defaults"]
+__all__ = ["ConfigError", "FIGURES", "RunConfig", "load_run_config", "figure_defaults"]
 
 
 class ConfigError(ValueError):
@@ -82,22 +82,23 @@ _POPULATION_DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
-# figure -> (reported metric, family defaults, ((CSV column, [sweep] key), ...));
-# the axes are listed outermost first
+# figure -> ((reported ScenarioMetrics field, its CI field), family defaults,
+# ((CSV column, [sweep] key), ...)); the axes are listed outermost first
 _CONDITIONED_AXES = (("gain", "gains_linear"), ("threshold_db", "thresholds_db"))
 _POPULATION_AXES = (("interference_pct", "interference_pct"), ("policy", "policies"))
 _FIGURES = {
-    3: ("avg_power", _CONDITIONED_DEFAULTS, _CONDITIONED_AXES),
-    4: ("coverage", _CONDITIONED_DEFAULTS, _CONDITIONED_AXES),
-    5: ("outage", _POPULATION_DEFAULTS, _POPULATION_AXES),
-    6: ("avg_power", _POPULATION_DEFAULTS, _POPULATION_AXES),
+    3: (("avg_power", "power_ci"), _CONDITIONED_DEFAULTS, _CONDITIONED_AXES),
+    4: (("coverage", "ci_halfwidth"), _CONDITIONED_DEFAULTS, _CONDITIONED_AXES),
+    5: (("outage", "ci_halfwidth"), _POPULATION_DEFAULTS, _POPULATION_AXES),
+    6: (("avg_power", "power_ci"), _POPULATION_DEFAULTS, _POPULATION_AXES),
 }
+FIGURES = tuple(_FIGURES)
 
 
 def figure_defaults(figure: int) -> dict[str, dict[str, str]]:
-    """The keys one of the four figures accepts, with their raw defaults."""
+    """The keys one of the figures accepts, with their raw defaults."""
     if figure not in _FIGURES:
-        raise ConfigError(f"unknown figure {figure}; expected 3, 4, 5 or 6")
+        raise ConfigError(f"unknown figure {figure}; expected one of {FIGURES}")
     merged: dict[str, dict[str, str]] = {
         s: dict(kv) for s, kv in _COMMON_DEFAULTS.items()
     }
@@ -112,6 +113,7 @@ class RunConfig:
 
     spec: ScenarioSpec
     metric: str  # the ScenarioMetrics quantity the figure reports
+    metric_ci: str  # the ScenarioMetrics field holding its CI half-width
     axes: tuple[tuple[str, tuple], ...]  # (CSV column, values), outermost first
     resolved: tuple[tuple[str, str], ...]  # flat (section.key, value) stamp
 
@@ -200,7 +202,7 @@ def load_run_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    metric, _, axis_keys = _FIGURES[figure]
+    (metric, metric_ci), _, axis_keys = _FIGURES[figure]
     axes = tuple((column, typed[key]) for column, key in axis_keys)
     if not all(values for _, values in axes):
         raise ConfigError("sweep needs " + " and ".join(k for _, k in axis_keys))
@@ -218,4 +220,4 @@ def load_run_config(
         for section in sorted(table)
         for key in sorted(table[section])
     )
-    return RunConfig(spec=spec, metric=metric, axes=axes, resolved=resolved)
+    return RunConfig(spec, metric, metric_ci, axes, resolved)

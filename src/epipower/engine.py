@@ -26,6 +26,7 @@ from .game import NetworkState, PowerGrid
 from .moments import (
     DEFAULT_TRUNCATION,
     RayleighPrior,
+    erlang_fit,
     fit_interference,
     gamma_from_sums,
     int_power,
@@ -69,7 +70,7 @@ class EpistemicPolicy:
         """
         count, p = np.float64(n_nodes - 1), np.float64(p_max)
         with np.errstate(all="ignore"):
-            alpha, theta = gamma_from_sums(count * p, count * (p * p), lam)
+            alpha, theta = erlang_fit(count, p, lam)
             value, _, _ = inverse_moment_value(
                 alpha, theta, noise_power, self.moment_order, DEFAULT_TRUNCATION
             )

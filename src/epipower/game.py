@@ -248,15 +248,18 @@ class NetworkState:
         return np.asarray([n.gain_sq for n in self.nodes], dtype=np.float64)
 
 
-def sinr(network: NetworkState, powers: Sequence[float], node_index: int) -> float:
-    """Received SINR of one node under a full power profile."""
-    g2 = network.gains_sq()
-    p = np.asarray(powers, dtype=np.float64)
-    if p.shape != (len(network),) :
+def sinr(g2: np.ndarray, powers: np.ndarray, noise_power: float) -> np.ndarray:
+    """Realised SINR of every node; the last axis of both arrays indexes nodes.
+
+    Node i receives g2_i p_i against the others' sum plus noise, so a
+    (trials, nodes) pair scores every trial at once.  Raises ValueError
+    when ``g2`` and ``powers`` disagree on the node axis.
+    """
+    if np.shape(g2)[-1:] != np.shape(powers)[-1:]:
         raise ValueError("power profile length must match the network")
-    received = g2 * p
-    interference = float(received.sum() - received[node_index])
-    return float(received[node_index] / (interference + network.noise_power))
+    received = np.multiply(g2, powers, dtype=np.float64)
+    total = received.sum(axis=-1, keepdims=True)
+    return received / ((total - received) + noise_power)
 
 
 class NonConvergenceError(RuntimeError):

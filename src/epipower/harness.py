@@ -27,7 +27,7 @@ import numpy as np
 
 from .batch import epistemic_response, sncpc_response
 from .engine import EpistemicPolicy
-from .game import MAX_SWEEPS, PowerGrid
+from .game import MAX_SWEEPS, PowerGrid, sinr
 from .moments import RayleighPrior
 
 __all__ = [
@@ -257,9 +257,8 @@ def _chunk_gains(spec: ScenarioSpec, chunk_index: int) -> np.ndarray:
         bit_generator.state = _pcg64_state(trial_words)
         amps = rng.rayleigh(spec.rayleigh_sigma, spec.n_nodes)
         if spec.conditioned_gain is not None:
-            amps[0] = spec.conditioned_gain
             rivals = 1 + rng.permutation(spec.n_nodes - 1)[: n_active - 1]
-            out[row, 0] = amps[0]
+            out[row, 0] = spec.conditioned_gain
             out[row, 1:] = amps[rivals]
         else:
             chosen = rng.permutation(spec.n_nodes)[:n_active]
@@ -301,10 +300,7 @@ def _run_chunk(spec: ScenarioSpec, chunk_index: int):
         powers = res.powers
         failed_trials = int((~res.converged).sum())
 
-    received = gains * gains * powers
-    total = received.sum(axis=1, keepdims=True)
-    realized = received / ((total - received) + spec.noise_power)
-    covered = realized >= spec.sinr_threshold
+    covered = sinr(gains * gains, powers, spec.noise_power) >= spec.sinr_threshold
 
     if spec.conditioned_gain is not None:
         trial_cov = covered[:, 0].astype(np.float64)
@@ -322,11 +318,13 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
     count, so a given spec always produces identical bytes.
     """
     n_chunks = math.ceil(spec.trials / CHUNK_TRIALS)
+    # a pool forks all its workers at the first submit: one per chunk at most
+    workers = min(spec.workers, n_chunks)
     worker = partial(_run_chunk, spec)
-    if spec.workers <= 1 or n_chunks == 1:
+    if workers == 1:
         parts = [worker(c) for c in range(n_chunks)]
     else:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(worker, range(n_chunks)))
 
     cov = np.concatenate([p[0] for p in parts])

@@ -27,6 +27,7 @@ __all__ = [
     "fit_gamma_mme",
     "fit_interference",
     "gamma_from_sums",
+    "erlang_fit",
     "int_power",
     "kth_root",
     "inverse_shifted_moment",
@@ -123,6 +124,11 @@ def gamma_from_sums(sum_p, sum_sq, lam):
     alpha = sum_p * sum_p / sum_sq
     theta = sum_sq / (lam * sum_p)
     return alpha, theta
+
+
+def erlang_fit(count, power, lam):
+    """``gamma_from_sums`` for ``count`` interferers all at ``power`` (Erlang)."""
+    return gamma_from_sums(count * power, count * (power * power), lam)
 
 
 def fit_interference(

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from epipower.baselines import epa_profile, sncpc_solve
+from epipower.baselines import sncpc_solve
 from epipower.game import NetworkState, NodeConfig, PowerGrid
+from epipower.harness import ScenarioSpec, _run_chunk
 from epipower.moments import RayleighPrior
 
 PRIOR = RayleighPrior(sigma=1.0)  # lam = 0.5 exactly
@@ -19,8 +20,12 @@ def net(*specs, noise=1.0):
 
 class TestEqualAllocation:
     def test_profile_is_constant(self):
-        network = net((1.0, 0.3), (0.5, 0.3), (0.8, 0.3))
-        assert epa_profile(network, GRID) == (2.0, 2.0, 2.0)
+        # a population chunk's per-trial power is the mean over its nodes,
+        # which is the top level only if every node transmits at it
+        spec = ScenarioSpec(grid=GRID, n_nodes=3, label="EPA", trials=40)
+        _, trial_pwr, _, _, rows = _run_chunk(spec, 0)
+        assert rows == 3 * 40
+        assert trial_pwr.tolist() == [2.0] * 40
 
 
 class TestSharedPowerIteration:

@@ -575,6 +575,17 @@ class TestFigure:
         assert err == "config error: workers must be at least 1\n"
         assert out == ""
 
+    def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # the path is checked before the first point runs, not after the last
+        monkeypatch.setattr(cli, "sweep", None)
+        target = tmp_path / "missing_dir" / "x.csv"
+        code, out, err = run(capsys, "figure", "5", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+        assert out == ""
+        assert not target.parent.exists()
+
     def test_run_without_out_is_usage_error(self, capsys):
         code, out, err = run(capsys, "figure", "5")
         assert code == EXIT_USAGE

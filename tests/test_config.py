@@ -21,7 +21,7 @@ class TestDefaults:
         assert len(cfg.spec.grid) == 1001
         assert cfg.spec.grid.p_max == 1.0
         assert cfg.spec.interference_fraction == 1.0
-        assert cfg.metric == "avg_power"
+        assert (cfg.metric, cfg.metric_ci) == ("avg_power", "power_ci")
         assert cfg.axes == (
             ("gain", (0.2, 0.5, 1.0)),
             ("threshold_db", (-30.0, -27.0, -24.0, -21.0, -18.0)),
@@ -43,7 +43,7 @@ class TestDefaults:
         assert len(cfg.spec.grid) == 10001
         assert cfg.spec.max_stages == 3
         assert cfg.spec.sncpc_max_iter == 2000
-        assert cfg.metric == "outage"
+        assert (cfg.metric, cfg.metric_ci) == ("outage", "ci_halfwidth")
         assert cfg.axes == (
             ("interference_pct", (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)),
             ("policy", ("M1", "M2", "M3", "M4", "EPA", "SNCPC")),

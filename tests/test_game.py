@@ -206,13 +206,47 @@ class TestNetworkGeometry:
             nodes=(NodeConfig(0, 1.0, 0.1), NodeConfig(1, 1.0, 0.1)),
             noise_power=1.0,
         )
-        assert sinr(net, (3.0, 1.0), 0) == 1.5
-        assert sinr(net, (3.0, 1.0), 1) == 0.25
+        assert sinr(net.gains_sq(), (3.0, 1.0), net.noise_power).tolist() == [1.5, 0.25]
 
     def test_profile_length_checked(self):
-        net = two_node_network()
-        with pytest.raises(ValueError):
-            sinr(net, (1.0,), 0)
+        g2 = two_node_network().gains_sq()
+        with pytest.raises(ValueError, match="length"):
+            sinr(g2, (1.0,), 1.0)
+        with pytest.raises(ValueError, match="length"):
+            sinr(g2, np.ones((4, 3)), 1.0)
+
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        noise=st.floats(min_value=1e-12, max_value=10.0),
+        zero_gain=st.booleans(),
+        zero_powers=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_node_matches_the_per_node_expression(
+        self, n, seed, noise, zero_gain, zero_powers
+    ):
+        rng = np.random.default_rng(seed)
+        g2 = 10.0 ** rng.uniform(-3.0, 3.0, n)  # six decades
+        powers = rng.uniform(0.0, 1.0, (3, n))
+        if zero_gain:
+            g2[rng.integers(n)] = 0.0
+        if zero_powers:
+            powers[1] = 0.0
+
+        def per_node(p):
+            received = g2 * p
+            return [
+                float(received[i] / ((received.sum() - received[i]) + noise))
+                for i in range(n)
+            ]
+
+        # one profile, and a (rows, nodes) table scored at once: bit for bit
+        assert sinr(g2, powers[0], noise).tolist() == per_node(powers[0])
+        table = sinr(g2, powers, noise)
+        assert table.shape == powers.shape
+        for row, p in zip(table.tolist(), powers):
+            assert row == per_node(p)
 
     @given(
         scale=st.floats(min_value=1e-6, max_value=1e6),
@@ -223,8 +257,8 @@ class TestNetworkGeometry:
     def test_sinr_scale_invariance(self, scale, p0, p1):
         net = two_node_network(noise=1.0)
         scaled = two_node_network(noise=scale)
-        base = sinr(net, (p0, p1), 0)
-        moved = sinr(scaled, (p0 * scale, p1 * scale), 0)
+        base = sinr(net.gains_sq(), (p0, p1), net.noise_power)[0]
+        moved = sinr(scaled.gains_sq(), (p0 * scale, p1 * scale), scaled.noise_power)[0]
         assert moved == pytest.approx(base, rel=1e-12)
 
     def test_validation(self):
@@ -536,7 +570,8 @@ class TestDeviationScan:
         grid = PowerGrid.linear(11, 10.0)
         res = solve_nash_full_csi(net, grid)
         assert res.powers == (4.0,)
-        assert sinr(net, (3.0,), 0) == net.nodes[0].sinr_threshold
+        realized = sinr(net.gains_sq(), (3.0,), net.noise_power)
+        assert realized[0] == net.nodes[0].sinr_threshold
         assert nash_deviation_scan(net, grid, res.powers) == []
 
     def test_profile_length_must_match(self):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from epipower import harness
 from epipower.engine import EpistemicPolicy, NodeEngine
 from epipower.game import PowerGrid
 from epipower.harness import (
@@ -297,6 +298,34 @@ class TestAggregation:
         serial = run_scenario(replace(spec, workers=1))
         parallel = run_scenario(replace(spec, workers=3))
         assert serial == parallel
+
+    @pytest.mark.parametrize("requested", [2, 10**6])
+    def test_pool_gets_at_most_one_worker_per_chunk(self, monkeypatch, requested):
+        # a pool forks every worker at its first submit, so the count it is
+        # asked for is the count it starts; a fake records it, and maps serially
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        spec = population_spec(trials=CHUNK_TRIALS * 2 + 40)  # three chunks
+        assert run_scenario(replace(spec, workers=requested)) == run_scenario(spec)
+        assert started == [min(requested, 3)]
+
+    def test_single_chunk_runs_without_a_pool(self, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
+        run_scenario(population_spec(trials=CHUNK_TRIALS, workers=8))
 
     def test_stage_cap_fraction_reported(self):
         tight = run_scenario(population_spec(max_stages=1))

@@ -12,6 +12,7 @@ from epipower.moments import (
     STATUS_TRUNCATED,
     GammaInterferenceModel,
     RayleighPrior,
+    erlang_fit,
     fit_gamma_mme,
     fit_interference,
     gamma_central_moments,
@@ -109,6 +110,21 @@ class TestGammaFit:
             m = fit_gamma_mme(powers, lam=0.7)
             assert (alpha[row], theta[row]) == (m.alpha_hat, m.theta_hat)
         assert gamma_from_sums(4.0, 10.0, 1.0) == (1.6, 2.5)
+
+    @given(
+        count=st.integers(min_value=1, max_value=500),
+        power=st.floats(min_value=1e-100, max_value=1e100),
+        lam=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_erlang_fit_is_the_fit_of_equal_powers(self, count, power, lam):
+        # fsum of count equal terms and the product count*p are both the
+        # correctly rounded count*p, so the two fits agree bit for bit
+        m = fit_gamma_mme([power] * count, lam=lam)
+        assert erlang_fit(count, power, lam) == (m.alpha_hat, m.theta_hat)
+        alpha, theta = erlang_fit(count, np.array([power, power]), lam)
+        assert alpha.tolist() == [m.alpha_hat] * 2
+        assert theta.tolist() == [m.theta_hat] * 2
 
     def test_fit_interference_all_silent_is_none(self):
         assert fit_interference((0.0, 0.0), lam=1.0, eta=2.0) is None
