@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--config", default=None, help="INI file overriding defaults")
     fig.add_argument("--workers", type=int, default=1,
                      help=f"process count, at most one per {CHUNK_TRIALS}-trial "
-                          "chunk; cannot change the output")
+                          "chunk and per core; cannot change the output")
     fig.add_argument("--print-defaults", action="store_true",
                      help="show every key this figure accepts with its default "
                           "and exit")
@@ -197,7 +197,7 @@ def _cmd_solve(args) -> int:
             raise ValueError(f"--max-stages must be at least 1, got {max_stages}")
         if solver == "epistemic":
             EpistemicPolicy(moment_order).check_grid(
-                len(network), grid.p_max, network.noise_power, prior.lam
+                len(network), grid, network.noise_power, prior.lam
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,21 +62,34 @@ class EpistemicPolicy:
         if not 1 <= self.moment_order <= 4:
             raise ValueError(f"moment_order must be 1..4, got {self.moment_order}")
 
-    def check_grid(self, n_nodes: int, p_max: float, noise_power: float, lam: float):
-        """ValueError unless this policy's worst-case series is in float range.
+    def check_grid(self, n_nodes: int, grid: PowerGrid, noise_power: float, lam: float):
+        """ValueError unless every belief series this grid allows is in float range.
 
-        The worst case is ``n_nodes - 1`` interferers at p_max against noise
-        alone; every other fit, leave-one-out sums included, has smaller sums.
+        The fits reach three extremes against noise alone: no interferer
+        (the ``1/noise^k`` bypass), one interferer at the lowest positive
+        level (the smallest sums) and ``n_nodes - 1`` at p_max (the
+        largest); every other fit, leave-one-out sums included, lies between.
         """
-        count, p = np.float64(n_nodes - 1), np.float64(p_max)
+        k = self.moment_order
         with np.errstate(all="ignore"):
-            alpha, theta = erlang_fit(count, p, lam)
-            value, _, _ = inverse_moment_value(
-                alpha, theta, noise_power, self.moment_order, DEFAULT_TRUNCATION
-            )
-        if count > 0 and not 0.0 < value < math.inf:
-            raise ValueError(f"p_max {p_max:g} overflows the belief fit of "
-                             f"{n_nodes - 1} interferers (series value {value:g})")
+            bypass = 1.0 / int_power(np.float64(noise_power), k)
+        if not bypass < math.inf:
+            raise ValueError(f"noise power {noise_power:g} overflows the "
+                             f"no-interferer belief 1/noise^{k}")
+        positive = grid.levels[1:] if grid.p_min == 0.0 else grid.levels
+        if n_nodes < 2 or not positive:
+            return  # no fit has an interferer
+        for name, p, count in (("p_max", grid.p_max, n_nodes - 1),
+                               ("lowest level", positive[0], 1)):
+            with np.errstate(all="ignore"):
+                alpha, theta = erlang_fit(np.float64(count), np.float64(p), lam)
+                value, _, _ = inverse_moment_value(
+                    alpha, theta, noise_power, k, DEFAULT_TRUNCATION
+                )
+            if not 0.0 < value < math.inf:
+                verb = "overflows" if p > 1.0 else "underflows"
+                raise ValueError(f"{name} {p:g} {verb} the belief fit of {count} "
+                                 f"interferer(s) (series value {value:g})")
 
 
 def inter_slope(k: int, lam: float, series_value: float) -> float:

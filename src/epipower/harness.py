@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .batch import epistemic_response, sncpc_response
 from .engine import EpistemicPolicy
@@ -94,7 +96,7 @@ class ScenarioSpec:
             raise ValueError("max_stages must be at least 1")
         if self.solver == "epistemic":
             self.policy.check_grid(
-                self.n_nodes, self.grid.p_max, self.noise_power, self.prior.lam
+                self.n_nodes, self.grid, self.noise_power, self.prior.lam
             )
         if self.sncpc_max_iter < 1:
             raise ValueError("sncpc_max_iter must be at least 1")
@@ -155,16 +157,13 @@ class ScenarioMetrics:
 
 
 # numpy's SeedSequence with its default pool of four 32-bit words (NEP 19;
-# numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
-# (O'Neill 2014, HMC-CS-2014-0905)
+# numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _XSHIFT = np.uint32(16)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hashmix(init: int, mult: int):
@@ -219,22 +218,16 @@ def _trial_seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     return out.astype("<u4").view("<u8")
 
 
-def _pcg64_state(words: list[int]) -> dict:
-    """``PCG64(seed_sequence).state`` for the sequence's four state words.
+class _TrialSeed(ISeedSequence):
+    """``SeedSequence([seed, t])`` as PCG64 reads it: one ``_trial_seed_words`` row."""
 
-    PCG64's seeding (``pcg64_set_seed``): the first two words are the
-    initial state and the last two the stream; state = 0, inc =
-    (stream << 1) | 1, one LCG step, state += initial state, one step.
-    """
-    initstate = (words[0] << 64) | words[1]
-    inc = ((((words[2] << 64) | words[3]) << 1) | 1) & _MASK128
-    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (_POOL_SIZE, np.uint64):
+            raise ValueError("a trial seed holds only PCG64's four uint64 words")
+        return self.words
 
 
 def _chunk_gains(spec: ScenarioSpec, chunk_index: int) -> np.ndarray:
@@ -242,19 +235,17 @@ def _chunk_gains(spec: ScenarioSpec, chunk_index: int) -> np.ndarray:
 
     Trial t draws from ``default_rng(SeedSequence([seed, t]))``, so chunk
     boundaries and worker scheduling cannot leak into the draws.  The
-    chunk hashes all its trial seeds in one numpy pass and replays each
-    stream on one generator by setting its PCG64 state.  In conditioned
-    scenarios column 0 is the fixed desired node.
+    chunk hashes all its trial seeds in one numpy pass, and numpy seeds
+    each trial's PCG64 from its row.  In conditioned scenarios column 0
+    is the fixed desired node.
     """
     start = chunk_index * CHUNK_TRIALS
     stop = min(start + CHUNK_TRIALS, spec.trials)
     n_active = spec.active_count
     out = np.empty((stop - start, n_active), dtype=np.float64)
     words = _trial_seed_words(spec.seed, np.arange(start, stop, dtype=np.uint32))
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for row, trial_words in enumerate(words.tolist()):
-        bit_generator.state = _pcg64_state(trial_words)
+    for row, trial_words in enumerate(words):
+        rng = np.random.default_rng(_TrialSeed(trial_words))
         amps = rng.rayleigh(spec.rayleigh_sigma, spec.n_nodes)
         if spec.conditioned_gain is not None:
             rivals = 1 + rng.permutation(spec.n_nodes - 1)[: n_active - 1]
@@ -301,14 +292,10 @@ def _run_chunk(spec: ScenarioSpec, chunk_index: int):
         failed_trials = int((~res.converged).sum())
 
     covered = sinr(gains * gains, powers, spec.noise_power) >= spec.sinr_threshold
-
-    if spec.conditioned_gain is not None:
-        trial_cov = covered[:, 0].astype(np.float64)
-        trial_pwr = powers[:, 0].copy()
-    else:
-        trial_cov = covered.mean(axis=1)
-        trial_pwr = powers.mean(axis=1)
-    return trial_cov, trial_pwr, capped_rows, failed_trials, n_trials * n_active
+    # a conditioned point scores node 0 alone; a one-column mean is a copy
+    scored = 1 if spec.conditioned_gain is not None else n_active
+    return (covered[:, :scored].mean(axis=1), powers[:, :scored].mean(axis=1),
+            capped_rows, failed_trials, n_trials * n_active)
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
@@ -318,8 +305,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
     count, so a given spec always produces identical bytes.
     """
     n_chunks = math.ceil(spec.trials / CHUNK_TRIALS)
-    # a pool forks all its workers at the first submit: one per chunk at most
-    workers = min(spec.workers, n_chunks)
+    # a pool forks all its workers at the first submit: one per chunk and
+    # per core at most
+    workers = min(spec.workers, n_chunks, os.cpu_count() or 1)
     worker = partial(_run_chunk, spec)
     if workers == 1:
         parts = [worker(c) for c in range(n_chunks)]

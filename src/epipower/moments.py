@@ -101,7 +101,8 @@ def fit_gamma_mme(
     ------
     ValueError
         if ``powers`` is empty ("no interferers"), any entry is not
-        strictly positive, or ``lam`` is not finite and strictly positive.
+        strictly positive, ``lam`` is not finite and strictly positive, or
+        the sums leave float range (the fit is then 0, inf or NaN).
     """
     if len(powers) == 0:
         raise ValueError("no interferers: cannot fit an interference model")
@@ -110,7 +111,14 @@ def fit_gamma_mme(
     vec = [float(p) for p in powers]
     if any(not p > 0.0 for p in vec):
         raise ValueError("all interferer powers must be strictly positive")
-    alpha, theta = gamma_from_sums(math.fsum(vec), math.fsum(p * p for p in vec), lam)
+    try:
+        sum_p, sum_sq = math.fsum(vec), math.fsum(p * p for p in vec)
+        alpha, theta = gamma_from_sums(sum_p, sum_sq, lam)
+    except (OverflowError, ZeroDivisionError):  # a sum past float range, or 0
+        alpha = theta = math.nan
+    if not (0.0 < alpha < math.inf and 0.0 < theta < math.inf):
+        raise ValueError(f"the powers' sums leave float range: alpha_hat "
+                         f"{alpha:g}, theta_hat {theta:g}")
     return GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta, eta=eta)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from epipower import harness
 from epipower.cli import EXIT_OK, main as cli_main
 from epipower.config import load_run_config
 from epipower.engine import EpistemicPolicy, NodeEngine, run_epistemic_game
@@ -346,7 +347,10 @@ def test_criterion_5e_evaluation_budget(small_instances):
     )
 
 
-def test_criterion_6_byte_determinism(tmp_path, capsys):
+def test_criterion_6_byte_determinism(tmp_path, capsys, monkeypatch):
+    # a point's pool is capped at the host's cores; pinning eight keeps the
+    # 8-worker run on a process pool (one per chunk) on any host
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     config = tmp_path / "sweep.ini"
     config.write_text(
         "[scenario]\n"

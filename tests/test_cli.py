@@ -105,6 +105,12 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
          "--p-max", "1e200", "--grid-levels", "11"),
         ("solve", "M4", "--gains", "1,1,1", "--thresholds-db", "0,0,0",
          "--p-max", "1e100", "--grid-levels", "11"),
+        # ... or underflows: noise^2 of the no-interferer bypass, the square
+        # of the lowest level, and a single power's square
+        ("solve", "M2", "--gains", "1", "--thresholds-db", "0", "--noise-db", "-2000"),
+        ("solve", "M1", "--gains", "1,1,1", "--thresholds-db=-30,-30,-30",
+         "--p-max", "1e-159", "--grid-levels", "1001", "--noise-db", "-3000"),
+        ("fit-gamma", "--powers", "1e-200"),
         # dB beyond float range, a gain rate that is not finite, NaN and inf
         ("solve", "NASH", "--gains", "1", "--thresholds-db", "4000"),
         ("solve", "NASH", "--gains", "1", "--thresholds-db", "0", "--noise-db", "4000"),
@@ -551,6 +557,27 @@ class TestFigure:
         )
         assert code == EXIT_USAGE
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert out == ""
+        assert not out_csv.exists()
+
+    def test_grid_whose_belief_fit_underflows_is_usage_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the lowest positive level, 1e-162, has a square that underflows
+        monkeypatch.setattr(cli, "sweep", None)
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[scenario]\nnodes = 30\ntrials = 512\nnoise_power_db = -3000\n"
+            "[grid]\nlevels = 1001\np_max_linear = 1e-159\n"
+            "[sweep]\ninterference_pct = 80\npolicies = M1\n"
+        )
+        out_csv = tmp_path / "fig.csv"
+        code, out, err = run(
+            capsys, "figure", "5", "--config", str(path), "--out", str(out_csv)
+        )
+        assert code == EXIT_USAGE
+        assert err == ("config error: lowest level 1e-162 underflows the belief "
+                       "fit of 1 interferer(s) (series value nan)\n")
         assert out == ""
         assert not out_csv.exists()
 

@@ -13,8 +13,8 @@ from epipower.harness import (
     POLICY_LABELS,
     ScenarioSpec,
     _chunk_gains,
-    _pcg64_state,
     _trial_seed_words,
+    _TrialSeed,
     db_to_linear,
     policy_spec,
     run_scenario,
@@ -90,6 +90,24 @@ class TestSpecValidation:
             population_spec(label=other, grid=PowerGrid.linear(11, 1e200))
         # a lone node has no interferers to fit
         population_spec(label=label, n_nodes=1, grid=PowerGrid.linear(11, 1e200))
+
+    @pytest.mark.parametrize("label", ["M1", "M2", "M3", "M4"])
+    def test_belief_label_rejects_a_grid_its_fit_underflows(self, label):
+        # one interferer at the lowest level, 1e-162: its square underflows,
+        # while five at p_max = 1e-159 fit
+        tiny = PowerGrid.linear(1001, 1e-159)
+        with pytest.raises(ValueError, match="lowest level 1e-162 underflows"):
+            population_spec(label=label, grid=tiny)
+        # below about 1e-162 the top end underflows first
+        with pytest.raises(ValueError, match="p_max 1e-170 underflows"):
+            population_spec(label=label, grid=PowerGrid.linear(2, 1e-170))
+        # the no-interferer bypass 1/noise^k overflows, even for a lone node
+        for n_nodes in (1, 6):
+            with pytest.raises(ValueError, match=r"noise power \S+ overflows"):
+                population_spec(label=label, n_nodes=n_nodes, noise_power=4e-320,
+                                grid=PowerGrid.linear(11, 1.0))
+        for other in ("EPA", "SNCPC"):
+            population_spec(label=other, grid=tiny, noise_power=4e-320)
 
     def test_belief_grid_bound_is_the_series_range(self):
         # at p_max = 1e100 the fit itself is finite, but M1's fourth central
@@ -259,10 +277,15 @@ class TestChunkSeeding:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pcg64_state_matches_the_seeded_generator(self, seed):
-        words = _trial_seed_words(seed, TRIALS).tolist()
+        words = _trial_seed_words(seed, TRIALS)
         for row, trial in zip(words, TRIALS.tolist()):
             ref = np.random.PCG64(np.random.SeedSequence([seed, trial])).state
-            assert _pcg64_state(row) == ref
+            assert np.random.PCG64(_TrialSeed(row)).state == ref
+
+    def test_trial_seed_gives_only_pcg64s_words(self):
+        seed = _TrialSeed(_trial_seed_words(42, TRIALS)[0])
+        with pytest.raises(ValueError, match="four uint64 words"):
+            seed.generate_state(8, np.uint32)
 
     @pytest.mark.parametrize(
         "spec, chunk_index",
@@ -276,6 +299,8 @@ class TestChunkSeeding:
             (population_spec(seed=2**40, trials=700), 1),
             # the last trial index that fits one seed word
             (population_spec(trials=2**32), 2**32 // CHUNK_TRIALS - 1),
+            # entropy of five words, one more than numpy's pool holds
+            (population_spec(n_nodes=9, conditioned_gain=0.7, seed=2**100), 0),
         ],
     )
     def test_chunk_matches_per_trial_generators(self, spec, chunk_index):
@@ -293,16 +318,21 @@ class TestAggregation:
         ratio = small.ci_halfwidth / large.ci_halfwidth
         assert 1.5 < ratio < 2.5
 
-    def test_worker_count_does_not_change_bytes(self):
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        # pinned cores keep the three-worker run on a process pool on any host
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         spec = population_spec(trials=CHUNK_TRIALS * 2 + 40)
         serial = run_scenario(replace(spec, workers=1))
         parallel = run_scenario(replace(spec, workers=3))
         assert serial == parallel
 
-    @pytest.mark.parametrize("requested", [2, 10**6])
-    def test_pool_gets_at_most_one_worker_per_chunk(self, monkeypatch, requested):
-        # a pool forks every worker at its first submit, so the count it is
-        # asked for is the count it starts; a fake records it, and maps serially
+    @staticmethod
+    def serial_pool(monkeypatch, cores):
+        """Pin the core count and swap in a pool that maps serially.
+
+        A pool forks every worker at its first submit, so the count it is
+        asked for is the count it starts; the returned list records it.
+        """
         started = []
 
         class SerialPool:
@@ -319,9 +349,23 @@ class TestAggregation:
                 return map(fn, items)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        return started
+
+    @pytest.mark.parametrize("requested", [2, 10**6])
+    def test_pool_gets_at_most_one_worker_per_chunk(self, monkeypatch, requested):
+        started = self.serial_pool(monkeypatch, cores=64)
         spec = population_spec(trials=CHUNK_TRIALS * 2 + 40)  # three chunks
         assert run_scenario(replace(spec, workers=requested)) == run_scenario(spec)
         assert started == [min(requested, 3)]
+
+    @pytest.mark.parametrize("cores, expected", [(2, [2]), (1, []), (None, [])])
+    def test_pool_gets_at_most_one_worker_per_core(self, monkeypatch, cores, expected):
+        # one core, or a count the host cannot tell, runs without a pool
+        started = self.serial_pool(monkeypatch, cores)
+        spec = population_spec(trials=CHUNK_TRIALS * 2 + 40)  # three chunks
+        assert run_scenario(replace(spec, workers=10**6)) == run_scenario(spec)
+        assert started == expected
 
     def test_single_chunk_runs_without_a_pool(self, monkeypatch):
         monkeypatch.setattr(harness, "ProcessPoolExecutor", None)

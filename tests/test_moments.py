@@ -92,6 +92,20 @@ class TestGammaFit:
         with pytest.raises(ValueError, match="lam must be finite and positive"):
             fit_gamma_mme((1.0, 2.0), lam=lam)
 
+    @pytest.mark.parametrize(
+        "powers, lam",
+        [
+            ((1e-200,), 0.5),  # the square underflows to 0
+            ((1e200,), 0.5),  # the square overflows
+            ((1e308, 1e308), 0.5),  # the sum overflows inside math.fsum
+            ((1e-160,), 1e-200),  # lam * sum(p) underflows to 0
+            ((1e150,), 1e-300),  # theta_hat overflows
+        ],
+    )
+    def test_sums_past_float_range_rejected(self, powers, lam):
+        with pytest.raises(ValueError, match="sums leave float range"):
+            fit_gamma_mme(powers, lam=lam)
+
     def test_fit_interference_filters_silent_nodes(self):
         m = fit_interference((0.0, 1.0, 0.0, 3.0), lam=1.0, eta=2.0)
         assert m is not None
