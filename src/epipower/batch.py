@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EpistemicPolicy, inter_slope, intra_slope
+from .engine import EpistemicPolicy, inter_slope
 from .game import MAX_SWEEPS, PowerGrid, _ceil_index, select_lowest_feasible_batch
 from .moments import (
     DEFAULT_TRUNCATION,
@@ -30,6 +30,7 @@ from .moments import (
     erlang_fit,
     int_power,
     inverse_moment_value,
+    kth_root,
 )
 
 __all__ = [
@@ -101,7 +102,8 @@ def epistemic_response(
             # no rivals at all: beliefs are vacuous, the self test is
             # the same zero-interference bypass the object path uses
             e_new = e
-            series_o = np.full(p.shape, 1.0 / int_power(noise_power, k))
+            series_o = np.full(1, 1.0 / int_power(noise_power, k))
+            slot = np.zeros(p.shape, dtype=np.intp)
         else:
             # rival pass (one shared belief update stands in for every rival)
             eta_rival = g2r * p + noise_power
@@ -118,13 +120,19 @@ def epistemic_response(
             idx_e = select_lowest_feasible_batch(levels, slope_r, sinr_threshold)
             e_new = levels[idx_e]  # index -1 (infeasible) is the last level, p_max
 
-            # own pass against refreshed beliefs
-            alpha, theta = erlang_fit(n_own_others, e_new, lam)
+            # own pass against refreshed beliefs: its series depends on the
+            # believed level alone, so it runs once per level reached, and
+            # row r reads slot[r] of that list
+            reached = np.zeros(levels.size, dtype=bool)
+            reached[idx_e] = True  # -1 marks p_max, as in levels[idx_e]
+            slot = np.cumsum(reached)[idx_e] - 1
+            alpha, theta = erlang_fit(n_own_others, levels[reached], lam)
             series_o, _, _ = inverse_moment_value(
                 alpha, theta, noise_power, k, DEFAULT_TRUNCATION
             )
         pos = series_o > 0.0
-        slope_o = np.where(pos, intra_slope(k, g2r, np.where(pos, series_o, 1.0)), 0.0)
+        root = kth_root(np.where(pos, series_o, 1.0), k)
+        slope_o = np.where(pos[slot], g2r * root[slot], 0.0)
         idx_p = select_lowest_feasible_batch(levels, slope_o, sinr_threshold)
         p_new = levels[idx_p]
 

@@ -7,6 +7,7 @@ solver-failure budget, 2 on usage or config errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -131,7 +132,11 @@ def _cmd_fit_gamma(args) -> int:
         moment = 1 if args.moment is None else args.moment
         truncation = DEFAULT_TRUNCATION if args.truncation is None else args.truncation
         if args.eta > 0.0:
-            sv = inverse_shifted_moment(model, moment, truncation)
+            with np.errstate(all="ignore"):
+                sv = inverse_shifted_moment(model, moment, truncation)
+            if not 0.0 < sv.value < math.inf:
+                raise ValueError(f"E[1/(Y+eta)^{moment}] = {sv.value:g} "
+                                 "is outside float range")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -236,24 +236,25 @@ def _chunk_gains(spec: ScenarioSpec, chunk_index: int) -> np.ndarray:
     Trial t draws from ``default_rng(SeedSequence([seed, t]))``, so chunk
     boundaries and worker scheduling cannot leak into the draws.  The
     chunk hashes all its trial seeds in one numpy pass, and numpy seeds
-    each trial's PCG64 from its row.  In conditioned scenarios column 0
-    is the fixed desired node.
+    each trial's PCG64 from its row.  A trial draws one amplitude per
+    node, shuffles them in place and keeps the first ``n_active``:
+    ``Generator.shuffle`` makes the same swaps from the same draws as
+    indexing by ``Generator.permutation``.  In conditioned scenarios
+    column 0 is the fixed desired node and only the others are shuffled.
     """
     start = chunk_index * CHUNK_TRIALS
     stop = min(start + CHUNK_TRIALS, spec.trials)
     n_active = spec.active_count
     out = np.empty((stop - start, n_active), dtype=np.float64)
     words = _trial_seed_words(spec.seed, np.arange(start, stop, dtype=np.uint32))
+    conditioned = spec.conditioned_gain is not None
     for row, trial_words in enumerate(words):
         rng = np.random.default_rng(_TrialSeed(trial_words))
         amps = rng.rayleigh(spec.rayleigh_sigma, spec.n_nodes)
-        if spec.conditioned_gain is not None:
-            rivals = 1 + rng.permutation(spec.n_nodes - 1)[: n_active - 1]
-            out[row, 0] = spec.conditioned_gain
-            out[row, 1:] = amps[rivals]
-        else:
-            chosen = rng.permutation(spec.n_nodes)[:n_active]
-            out[row] = amps[chosen]
+        rng.shuffle(amps[1:] if conditioned else amps)
+        out[row] = amps[:n_active]
+    if conditioned:
+        out[:, 0] = spec.conditioned_gain
     return out
 
 

@@ -73,10 +73,10 @@ class GammaInterferenceModel:
     eta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.alpha_hat > 0.0:
-            raise ValueError(f"alpha_hat must be positive, got {self.alpha_hat}")
-        if not self.theta_hat > 0.0:
-            raise ValueError(f"theta_hat must be positive, got {self.theta_hat}")
+        for name in ("alpha_hat", "theta_hat"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
 
@@ -245,23 +245,32 @@ def inverse_moment_value(alpha, theta, eta, k: int, truncation: int):
     central = gamma_central_moments(alpha, theta, truncation)
     me = alpha * theta + eta
     inv = 1.0 / me
-    total = np.broadcast_to(np.float64(1.0), me.shape).copy()
-    prev_mag = np.ones_like(total)
-    stopped = np.zeros(me.shape, dtype=bool)
+    # every buffer below is updated in place, with the same IEEE operations
+    # in the same order as the expansion above
+    total = np.ones(me.shape)
+    powt = np.ones(me.shape)
+    term = np.empty(me.shape)
+    mag = np.empty(me.shape)
+    prev_mag = np.ones(me.shape)
     used = np.full(me.shape, truncation, dtype=np.int64)
-    powt = np.ones_like(total)
+    live = np.ones(me.shape, dtype=bool)  # no onset yet
+    pos = np.empty(me.shape, dtype=bool)
+    onset = np.empty(me.shape, dtype=bool)
     for n in range(1, truncation + 1):
-        powt = powt * inv
-        coeff = float((-1) ** n * math.comb(k + n - 1, n))
-        term = coeff * central[n] * powt
-        mag = np.abs(term)
-        pos = mag > 0.0
-        onset = pos & (mag >= prev_mag) & ~stopped
-        used = np.where(onset, n - 1, used)
-        stopped = stopped | onset
-        total = total + np.where(stopped, 0.0, term)
-        prev_mag = np.where(pos & ~stopped, mag, prev_mag)
-    return total / int_power(me, k), used, stopped
+        np.multiply(powt, inv, out=powt)
+        np.multiply(central[n], float((-1) ** n * math.comb(k + n - 1, n)), out=term)
+        np.multiply(term, powt, out=term)
+        np.absolute(term, out=mag)
+        np.greater(mag, 0.0, out=pos)
+        np.greater_equal(mag, prev_mag, out=onset)
+        onset &= pos
+        onset &= live
+        np.copyto(used, n - 1, where=onset)
+        live ^= onset  # onset lies inside live
+        np.add(total, term, out=total, where=live)
+        pos &= live
+        np.copyto(prev_mag, mag, where=pos)
+    return total / int_power(me, k), used, ~live
 
 
 def inverse_shifted_moment(

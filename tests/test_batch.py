@@ -147,6 +147,45 @@ class TestEpistemicParity:
         assert res.feasible.tolist() == feasible
         assert res.converged.tolist() == converged
 
+    @pytest.mark.parametrize("n_active", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_own_pass_table_edge_cases(self, n_active, k, monkeypatch):
+        """The own pass runs once per believed level; rows read it back.
+
+        A grid with p_min > 0, and gains large enough that a simulated
+        rival finds no level (index -1, believed p_max) in some rows but
+        not in others of the same call; n_active 1 is the bypass and 2
+        has no rival others.
+        """
+        rival_indices = []
+
+        def spy(levels, slope, threshold):
+            idx = select_lowest_feasible_batch(levels, slope, threshold)
+            rival_indices.append(idx)
+            return idx
+
+        monkeypatch.setattr(batch, "select_lowest_feasible_batch", spy)
+        rng = np.random.default_rng(7 * n_active + k)
+        gains = np.concatenate([rng.rayleigh(scale=1.0, size=20),
+                                [0.0, 0.01, 8.0, 40.0]])
+        grid = PowerGrid.linear(65, 2.0, p_min=0.25)
+        prior = RayleighPrior(sigma=1.0)
+        policy = EpistemicPolicy(moment_order=k)
+        threshold, noise, stages = 0.3, 1e-2, 4
+        res = epistemic_response(
+            gains, n_active, threshold, noise, grid, policy, prior, stages
+        )
+        powers, believed, feasible, converged = run_object_engines(
+            gains, n_active, threshold, noise, grid, policy, prior, stages
+        )
+        assert res.powers.tolist() == powers
+        assert res.believed.tolist() == believed
+        assert res.feasible.tolist() == feasible
+        assert res.converged.tolist() == converged
+        if n_active > 1:  # calls alternate rival pass, own pass
+            rival = np.concatenate(rival_indices[0::2])
+            assert (rival == -1).any() and (rival >= 0).any()
+
     def test_single_transmitter_bypass(self):
         gains = np.array([2.0, 0.5, 0.05])
         grid = PowerGrid.linear(101, 1.0)

@@ -111,6 +111,8 @@ def test_solve_transcripts_match_goldens(capsys, scheme):
         ("solve", "M1", "--gains", "1,1,1", "--thresholds-db=-30,-30,-30",
          "--p-max", "1e-159", "--grid-levels", "1001", "--noise-db", "-3000"),
         ("fit-gamma", "--powers", "1e-200"),
+        # a fit in range whose series value overflows
+        ("fit-gamma", "--powers", "1e-150", "--eta", "1e-300", "--moment", "4"),
         # dB beyond float range, a gain rate that is not finite, NaN and inf
         ("solve", "NASH", "--gains", "1", "--thresholds-db", "4000"),
         ("solve", "NASH", "--gains", "1", "--thresholds-db", "0", "--noise-db", "4000"),

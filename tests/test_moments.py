@@ -324,20 +324,35 @@ class TestVectorisedKernel:
         alphas = np.array([1.0, 2.5, 7.0])
         thetas = np.array([0.5, 2.0, 1.25])
         etas = np.array([40.0, 90.0, 10.0])
-        vec, used, flagged = inverse_moment_value(alphas, thetas, etas, 2, 4)
-        for i in range(3):
-            s = inverse_shifted_moment(
-                GammaInterferenceModel(
-                    alpha_hat=float(alphas[i]),
-                    theta_hat=float(thetas[i]),
-                    eta=float(etas[i]),
-                ),
-                2,
-                truncation=4,
-            )
-            assert vec[i] == s.value
-            assert int(used[i]) == s.terms_used
-            assert bool(flagged[i]) == (s.status == STATUS_TRUNCATED)
+        # every operand an array (the batch rival pass), a 0-d eta (its own
+        # pass) and a 0-d alpha and theta against an array eta
+        for alpha, theta, eta in ((alphas, thetas, etas),
+                                  (alphas, thetas, np.float64(20.0)),
+                                  (np.float64(2.5), np.float64(2.0), etas)):
+            for k in range(1, 5):
+                vec, used, flagged = inverse_moment_value(alpha, theta, eta, k, 4)
+                for i in range(3):
+                    s = inverse_shifted_moment(
+                        GammaInterferenceModel(
+                            alpha_hat=float(np.broadcast_to(alpha, 3)[i]),
+                            theta_hat=float(np.broadcast_to(theta, 3)[i]),
+                            eta=float(np.broadcast_to(eta, 3)[i]),
+                        ),
+                        k,
+                        truncation=4,
+                    )
+                    assert vec[i] == s.value
+                    assert int(used[i]) == s.terms_used
+                    assert bool(flagged[i]) == (s.status == STATUS_TRUNCATED)
+
+    def test_arguments_are_not_written(self):
+        alphas = np.array([1.0, 2.5, 7.0])
+        thetas = np.array([0.5, 2.0, 1.25])
+        etas = np.array([40.0, 90.0, 10.0])
+        before = [a.copy() for a in (alphas, thetas, etas)]
+        inverse_moment_value(alphas, thetas, etas, 2, 4)
+        for arg, kept in zip((alphas, thetas, etas), before):
+            assert arg.tolist() == kept.tolist()
 
     def test_int_power_and_kth_root(self):
         x = np.array([1e-30, 0.37, 1.0, 37.41114227829364, 5e20])
@@ -363,3 +378,12 @@ class TestVectorisedKernel:
     def test_model_rejects_nonfinite_eta(self, eta):
         with pytest.raises(ValueError, match="eta must be finite"):
             GammaInterferenceModel(alpha_hat=1.0, theta_hat=1.0, eta=eta)
+
+    @pytest.mark.parametrize(
+        "alpha, theta",
+        [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0),
+         (1.0, math.nan)],
+    )
+    def test_model_rejects_nonfinite_parameters(self, alpha, theta):
+        with pytest.raises(ValueError, match="_hat must be finite and positive"):
+            GammaInterferenceModel(alpha_hat=alpha, theta_hat=theta)
