@@ -114,9 +114,7 @@ def epistemic_response(
                 series_r, _, _ = inverse_moment_value(
                     alpha, theta, eta_rival, k, DEFAULT_TRUNCATION
                 )
-            pos = series_r > 0.0
-            slope_r = inter_slope(k, lam, np.where(pos, series_r, 1.0))
-            slope_r = np.where(pos, slope_r, 0.0)
+            slope_r = inter_slope(k, lam, series_r)
             idx_e = select_lowest_feasible_batch(levels, slope_r, sinr_threshold)
             e_new = levels[idx_e]  # index -1 (infeasible) is the last level, p_max
 
@@ -130,9 +128,7 @@ def epistemic_response(
             series_o, _, _ = inverse_moment_value(
                 alpha, theta, noise_power, k, DEFAULT_TRUNCATION
             )
-        pos = series_o > 0.0
-        root = kth_root(np.where(pos, series_o, 1.0), k)
-        slope_o = np.where(pos[slot], g2r * root[slot], 0.0)
+        slope_o = g2r * kth_root(series_o, k)[slot]
         idx_p = select_lowest_feasible_batch(levels, slope_o, sinr_threshold)
         p_new = levels[idx_p]
 

@@ -41,7 +41,6 @@ __all__ = [
     "GameOutcome",
     "NodeEngine",
     "inter_slope",
-    "intra_slope",
     "leave_one_out_fits",
     "run_epistemic_game",
 ]
@@ -100,11 +99,6 @@ def inter_slope(k: int, lam: float, series_value: float) -> float:
     """
     scale = math.factorial(k) / int_power(lam, k)
     return kth_root(scale * series_value, k)
-
-
-def intra_slope(k: int, gain_sq: float, series_value: float) -> float:
-    """Per-unit-power statistic when the transmitter knows its own gain."""
-    return gain_sq * kth_root(series_value, k)
 
 
 def leave_one_out_fits(powers: Sequence[float], lam: float):
@@ -225,8 +219,8 @@ class NodeEngine:
         # rival pass: simulate each rival's feasibility test against the
         # sweep-entry state; this node's own contribution enters as the
         # known-gain shift, everyone else through the fitted model, in one
-        # array series call.  A series value that is not positive clamps
-        # the slope to 0, so no level passes
+        # array series call.  ``kth_root`` clamps a series value that is
+        # not positive to slope 0, so no level passes
         eta_rival = self.gain_sq * entry_own + self.noise_power
         entry = [entry_beliefs[rid] for rid, _ in self.rivals]
         fitted, alpha, theta = leave_one_out_fits(entry, lam)
@@ -236,14 +230,13 @@ class NodeEngine:
         new_beliefs: dict[int, float] = {}
         for j, (rid, rthr) in enumerate(self.rivals):
             value = fits.get(j, bypass)
-            slope = 0.0 if value <= 0.0 else inter_slope(k, lam, value)
-            new_beliefs[rid], _ = self._update(slope, rthr)
+            new_beliefs[rid], _ = self._update(inter_slope(k, lam, value), rthr)
         self.believed = new_beliefs
 
         # own pass: re-pick own power against the refreshed beliefs
         own_interferers = [self.believed[m] for m, _ in self.rivals]
         value = self._series(own_interferers, self.noise_power)
-        slope = 0.0 if value <= 0.0 else intra_slope(k, self.gain_sq, value)
+        slope = self.gain_sq * kth_root(value, k)
         self.own_power, self.own_feasible = self._update(slope, self.sinr_threshold)
         return self.believed != entry_beliefs or self.own_power != entry_own
 
@@ -270,7 +263,7 @@ def run_epistemic_game(
     grid: PowerGrid,
     policy: EpistemicPolicy,
     prior: RayleighPrior,
-    max_stages: int = 20,
+    max_stages: int,
     exhaustive: bool = False,
 ) -> GameOutcome:
     """Let every node reason in isolation, then read off the joint profile.

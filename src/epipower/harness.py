@@ -261,7 +261,7 @@ def _chunk_gains(spec: ScenarioSpec, chunk_index: int) -> np.ndarray:
 def _run_chunk(spec: ScenarioSpec, chunk_index: int):
     """Solve one chunk; returns per-trial coverage and power plus counters."""
     gains = _chunk_gains(spec, chunk_index)
-    n_trials, n_active = gains.shape
+    n_active = gains.shape[1]
     capped_rows = 0
     failed_trials = 0
 
@@ -296,7 +296,7 @@ def _run_chunk(spec: ScenarioSpec, chunk_index: int):
     # a conditioned point scores node 0 alone; a one-column mean is a copy
     scored = 1 if spec.conditioned_gain is not None else n_active
     return (covered[:, :scored].mean(axis=1), powers[:, :scored].mean(axis=1),
-            capped_rows, failed_trials, n_trials * n_active)
+            capped_rows, failed_trials)
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
@@ -320,7 +320,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
     pwr = np.concatenate([p[1] for p in parts])
     capped = sum(p[2] for p in parts)
     failed = sum(p[3] for p in parts)
-    total_rows = sum(p[4] for p in parts)
 
     coverage = float(cov.mean())
     # powers are reported as a fraction of the top grid level
@@ -340,7 +339,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioMetrics:
         power_ci=power_ci,
         trials_run=spec.trials,
         warning=failure_fraction > 0.01,
-        stage_cap_fraction=(capped / total_rows) if total_rows else 0.0,
+        stage_cap_fraction=capped / (spec.trials * spec.active_count),
         solver_failure_fraction=failure_fraction,
     )
 

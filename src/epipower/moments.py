@@ -203,11 +203,16 @@ def int_power(x, k: int):
 
 
 def kth_root(x, k: int):
-    """x**(1/k) for k = 1..4, from square and cube roots.
+    """max(x, 0)**(1/k) for k = 1..4, from square and cube roots.
 
+    A belief statistic that is not positive, or is NaN, passes no grid
+    level; clamping it to 0 here states that rule once for both belief
+    loops and keeps ``sqrt`` from warning on a negative.  ``fmax``
+    returns one of its arguments, so a positive ``x`` keeps its bits.
     ``sqrt`` is correctly rounded by IEEE 754, so orders 1, 2 and 4 give
     the same bits on every platform; ``cbrt`` is libm's.
     """
+    x = np.fmax(x, 0.0)
     if k == 1:
         return x
     if k == 2:

@@ -128,7 +128,7 @@ def run_object_engines(gains, n_active, threshold, noise, grid, policy, prior, s
 
 class TestEpistemicParity:
     @pytest.mark.parametrize("n_active", [1, 2, 3, 5])
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_bitwise_equal_to_object_loop(self, n_active, k):
         rng = np.random.default_rng(100 * n_active + k)
         gains = rng.rayleigh(scale=1.0, size=24)
@@ -148,7 +148,7 @@ class TestEpistemicParity:
         assert res.converged.tolist() == converged
 
     @pytest.mark.parametrize("n_active", [1, 2, 3, 5])
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_own_pass_table_edge_cases(self, n_active, k, monkeypatch):
         """The own pass runs once per believed level; rows read it back.
 
@@ -185,6 +185,31 @@ class TestEpistemicParity:
         if n_active > 1:  # calls alternate rival pass, own pass
             rival = np.concatenate(rival_indices[0::2])
             assert (rival == -1).any() and (rival >= 0).any()
+
+    @pytest.mark.parametrize("n_active", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_series_outside_the_grid_check(self, n_active, k):
+        """Past ``check_grid``'s range both loops pass no level alike.
+
+        At p_max = 1e100, M1's series is NaN and M4's is 0: each loop
+        reads such a value as slope 0, through ``kth_root``.
+        """
+        gains = np.random.default_rng(11 * n_active + k).rayleigh(1.0, size=16)
+        grid = PowerGrid.linear(11, 1e100)
+        prior = RayleighPrior(sigma=1.0)
+        policy = EpistemicPolicy(moment_order=k)
+        threshold, noise, stages = 0.02, 1e-3, 3
+        with np.errstate(all="ignore"):
+            res = epistemic_response(
+                gains, n_active, threshold, noise, grid, policy, prior, stages
+            )
+            powers, believed, feasible, converged = run_object_engines(
+                gains, n_active, threshold, noise, grid, policy, prior, stages
+            )
+        assert res.powers.tolist() == powers
+        assert res.believed.tolist() == believed
+        assert res.feasible.tolist() == feasible
+        assert res.converged.tolist() == converged
 
     def test_single_transmitter_bypass(self):
         gains = np.array([2.0, 0.5, 0.05])

@@ -10,7 +10,6 @@ from epipower.engine import (
     EpistemicPolicy,
     NodeEngine,
     inter_slope,
-    intra_slope,
     leave_one_out_fits,
     run_epistemic_game,
 )
@@ -46,17 +45,15 @@ def replay_own_slope(out, gain, k):
     """Final own-pass slope of an outcome, rebuilt from its believed powers."""
     model = fit_interference([p for _, p in out.believed_powers], PRIOR.lam, 1.0)
     value = inverse_shifted_moment(model, k, 4).value
-    return 0.0 if value <= 0.0 else intra_slope(k, gain * gain, value)
+    return 0.0 if value <= 0.0 else gain * gain * kth_root(value, k)
 
 
 class TestSlopes:
     def test_first_order_forms(self):
         assert inter_slope(1, 0.5, 0.2) == (1.0 / 0.5) * 0.2
-        assert intra_slope(1, 0.64, 0.2) == 0.64 * 0.2
 
     def test_second_order_forms(self):
         assert inter_slope(2, 1.0, 0.5) == pytest.approx(1.0, rel=1e-15)
-        assert intra_slope(2, 0.5, 0.25) == 0.25
 
     def test_moment_order_raises_slope_for_exponential(self):
         # zero-interference bypass: E[1/(Y+eta)^k] = eta^-k, so the slope
@@ -113,7 +110,7 @@ class TestSingleSweep:
         eng.step()
         model = fit_interference([eng.believed[1]], PRIOR.lam, 1.0)
         series = inverse_shifted_moment(model, 1, 4)
-        slope = intra_slope(1, 0.8 * 0.8, series.value)
+        slope = 0.8 * 0.8 * kth_root(series.value, 1)
         idx = GRID.select_lowest_feasible(slope, 0.3)
         assert eng.own_power == GRID.levels[idx]
         assert eng.own_power == pytest.approx(1.4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epipower import harness
+from epipower.batch import epistemic_response
 from epipower.engine import EpistemicPolicy, NodeEngine
 from epipower.game import PowerGrid
 from epipower.harness import (
@@ -376,6 +377,25 @@ class TestAggregation:
         loose = run_scenario(population_spec(max_stages=12))
         assert 0.0 <= loose.stage_cap_fraction <= tight.stage_cap_fraction <= 1.0
         assert loose.stage_cap_fraction == 0.0
+
+    @pytest.mark.parametrize("spec", [
+        population_spec(trials=CHUNK_TRIALS + 40, max_stages=1),  # two chunks
+        population_spec(n_nodes=9, conditioned_gain=0.7, max_stages=1),
+    ])
+    def test_stage_cap_fraction_counts_every_row(self, spec):
+        # every active node's belief loop is a row, the fixed node's too
+        capped = 0
+        for chunk in range(math.ceil(spec.trials / CHUNK_TRIALS)):
+            gains = _chunk_gains(spec, chunk)
+            res = epistemic_response(
+                gains.ravel(), spec.active_count, spec.sinr_threshold,
+                spec.noise_power, spec.grid, spec.policy, spec.prior,
+                spec.max_stages,
+            )
+            capped += int((~res.converged).sum())
+        assert capped > 0
+        fraction = run_scenario(spec).stage_cap_fraction
+        assert fraction == capped / (spec.trials * spec.active_count)
 
     def test_unconverged_solver_raises_warning_flag(self):
         spec = population_spec(label="SNCPC", sncpc_max_iter=1)

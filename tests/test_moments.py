@@ -363,6 +363,15 @@ class TestVectorisedKernel:
         for k in range(1, 5):
             np.testing.assert_allclose(int_power(kth_root(x, k), k), x, rtol=1e-14)
             assert kth_root(x[3:4], k)[0] == kth_root(np.asarray(x[3]), k)
+        # a statistic that is not positive, or is NaN, roots to 0 (-0.0
+        # may stay -0.0), and sqrt never sees a negative
+        bad = [-1.0, -math.inf, math.nan, -0.0]
+        with np.errstate(all="raise"):
+            for k in range(1, 5):
+                roots = [kth_root(v, k) for v in bad]
+                roots += [kth_root(np.asarray(v), k) for v in bad]
+                roots += kth_root(np.array(bad).reshape(2, 2), k).ravel().tolist()
+                assert [float(r) for r in roots] == [0.0] * 12
         with pytest.raises(ValueError, match="k must be 1..4, got 5"):
             kth_root(x, 5)
 
